@@ -31,6 +31,7 @@ from .eisenstein import (
 )
 from .errors import (
     ConvergenceRegionError,
+    EmptyRepresentationError,
     MirabolicError,
     NormalizationError,
     NotPrimitiveError,

@@ -8,6 +8,7 @@ import argparse
 import io
 import json
 import sys
+from dataclasses import replace
 
 from . import __version__, characters, eisenstein, fe_verify, gamma_factors
 from .errors import MirabolicError, ParseError, ToleranceNotMetError
@@ -259,13 +260,7 @@ def _suite_betalike(tol: float, cfg) -> list[dict]:
     beta3, eta3 = (0.2, 0.3, 0.3), (0, 0, 0)
     closed = fe_verify.beta_like_closed(beta3, eta3, 1.0)
     # the n=3 nested quadrature is certified at 1e-4; requesting more is slow
-    cfg3 = fe_verify.QuadratureConfig(
-        abs_tol=max(cfg.abs_tol, 1e-6),
-        rel_tol=max(cfg.rel_tol, 1e-4),
-        max_depth=cfg.max_depth,
-        singularity_substitution=cfg.singularity_substitution,
-        oscillatory_cutoff=cfg.oscillatory_cutoff,
-    )
+    cfg3 = replace(cfg, abs_tol=max(cfg.abs_tol, 1e-6), rel_tol=max(cfg.rel_tol, 1e-4))
     try:
         quad = fe_verify.beta_like_quadrature(beta3, eta3, 1.0, cfg3)
     except ToleranceNotMetError as exc:
@@ -404,13 +399,7 @@ _SUITES = {
 def cmd_verify(args) -> tuple[dict, bool]:
     tol = args.tol
     base = fe_verify.default_config()
-    cfg = fe_verify.QuadratureConfig(
-        abs_tol=min(base.abs_tol, tol / 10),
-        rel_tol=min(base.rel_tol, tol),
-        max_depth=base.max_depth,
-        singularity_substitution=base.singularity_substitution,
-        oscillatory_cutoff=base.oscillatory_cutoff,
-    )
+    cfg = replace(base, abs_tol=min(base.abs_tol, tol / 10), rel_tol=min(base.rel_tol, tol))
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     suites = []
     all_pass = True

@@ -46,6 +46,11 @@ class ToleranceNotMetError(MirabolicError):
         self.achieved = achieved
 
 
+class EmptyRepresentationError(MirabolicError):
+    """An operation needs a nonempty isobaric sum, but the representation
+    has no blocks (Ext^2 of a character, for example)."""
+
+
 class NormalizationError(MirabolicError):
     """Input parameters violate a required normalization constraint."""
 

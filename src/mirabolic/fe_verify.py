@@ -7,6 +7,17 @@ algebraic singularities, 1/u mappings on the tails, and repeated integration
 by parts past a cutoff for the conditionally convergent oscillatory integral.
 A quadrature oracle that cannot certify agreement with its closed form raises
 ToleranceNotMetError rather than returning silently.
+
+The n=2 intertwining operators (intertwine_apply_n2, intertwine_compose_n2)
+use their own rule on numpy arrays, from mirabolic.panels: composite
+21-point Gauss-Kronrod panels, graded geometrically toward each |h|^{p-1}
+endpoint, with the last panel integrated against the exact kernel mass, and
+adaptive bisection of the panels whose embedded estimate is too large.  A
+whole batch of integrals (one per outer node of the composition) is refined
+at once.  No closed form is inside the composition, so these two certify
+each value against the summed error estimate of its pieces instead, and
+raise ToleranceNotMetError when it misses the tolerance.  Their test
+functions f (and f.derivative) must accept numpy arrays.
 """
 
 from __future__ import annotations
@@ -15,7 +26,7 @@ import cmath
 import math
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.integrate as _si
@@ -30,6 +41,7 @@ from .errors import (
     ToleranceNotMetError,
 )
 from .eisenstein import EisParams, nu_from_s
+from .panels import graded_integrals
 from .special import G_delta, G_delta_is_zero
 
 try:  # scipy >= 1.12
@@ -44,9 +56,11 @@ _TWO_PI_I = 2j * math.pi
 class QuadratureConfig:
     """Tolerances and strategy knobs for the quadrature oracles.
 
+    max_depth: subintervals per adaptive quadrature; for the intertwining
+        operators, Gauss-Kronrod panels per piece.
     singularity_substitution: "power" maps |x-a|^{p-1} endpoint behaviour
         through x = a + u^k; "tanh_sinh" uses a double-exponential rule on
-        the raw integrand.
+        the raw integrand.  The intertwining operators ignore it.
     oscillatory_cutoff: number of periods integrated directly before
         switching to the integrated-by-parts asymptotic tail.
     """
@@ -147,8 +161,12 @@ def _tail(f, R, side, tail_exp, cfg: QuadratureConfig):
     |f(x)| ~ |x|^{tail_exp} with tail_exp < -1.  Maps x = side*R/u."""
 
     def g(u):
-        x = side * R / u
-        return f(x) * R / (u * u)
+        # the power substitution's u**k, and u*u here, can underflow to 0;
+        # the integrand is taken as 0 there, as SingularProduct does at d = 0
+        uu = u * u
+        if uu == 0:
+            return 0j
+        return f(side * R / u) * R / uu
 
     p = -tail_exp - 1  # local exponent of g at u=0: u^{p-1}
     p_a = p if p < 1 else None
@@ -411,12 +429,10 @@ def beta_like_quadrature(beta, eta, t_n: float, cfg: QuadratureConfig = DEFAULT_
             # tail (which samples |t'| over many decades) sees O(1)
             # relative noise in the deep-tail region.
             scale = abs(tprime) ** (b01 - 1) if tprime != 0 else 1.0
-            inner_cfg = QuadratureConfig(
+            inner_cfg = replace(
+                cfg,
                 abs_tol=max(cfg.abs_tol / 100 * scale, 1e-300),
                 rel_tol=cfg.rel_tol / 100,
-                max_depth=cfg.max_depth,
-                singularity_substitution=cfg.singularity_substitution,
-                oscillatory_cutoff=cfg.oscillatory_cutoff,
             )
             sp1 = _betalike_product(beta[0], eta[0], beta[1], eta[1], tprime)
             v, _ = integrate_product_line(sp1, b01 - 2, inner_cfg)
@@ -424,13 +440,7 @@ def beta_like_quadrature(beta, eta, t_n: float, cfg: QuadratureConfig = DEFAULT_
 
         outer = _Nested3Integrand(inner, t, beta[2], eta[2], b01)
         tail = sum(b.real for b in beta) - 2
-        outer_cfg = QuadratureConfig(
-            abs_tol=cfg.abs_tol / 3,
-            rel_tol=cfg.rel_tol / 3,
-            max_depth=cfg.max_depth,
-            singularity_substitution=cfg.singularity_substitution,
-            oscillatory_cutoff=cfg.oscillatory_cutoff,
-        )
+        outer_cfg = replace(cfg, abs_tol=cfg.abs_tol / 3, rel_tol=cfg.rel_tol / 3)
         val, est = integrate_product_line(outer, tail, outer_cfg)
     closed = beta_like_closed(beta, eta, t)
     _certify(val, est, closed, cfg)
@@ -620,9 +630,22 @@ def h_integral(
 # n=2 intertwining operator
 
 
+def _require(val, est, cfg: QuadratureConfig, what: str):
+    """Raise unless every error estimate meets max(abs_tol, rel_tol*|val|)."""
+    tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(val))
+    bad = ~(est <= tol)  # a NaN estimate fails too
+    if np.any(bad):
+        i = int(np.argmax(np.where(bad, est / tol, -1.0)))
+        raise ToleranceNotMetError(
+            f"{what}: error estimate {float(est.flat[i]):.3g} exceeds "
+            f"tolerance {float(tol.flat[i]):.3g}",
+            achieved=float(est.flat[i]),
+        )
+
+
 class Bump:
     """A smooth compactly supported bump exp(1 - 1/(1-u^2)) on |u| < 1,
-    u = (x - center)/width."""
+    u = (x - center)/width.  Accepts floats and numpy arrays."""
 
     def __init__(self, center: float = 0.0, width: float = 1.0):
         if width <= 0:
@@ -631,26 +654,67 @@ class Bump:
         self.width = width
         self.support = (center - width, center + width)
 
-    def __call__(self, x: float) -> float:
-        u = (x - self.center) / self.width
-        if abs(u) >= 1:
-            return 0.0
-        return math.exp(1 - 1 / (1 - u * u))
+    def _parts(self, x):
+        u = (np.asarray(x, dtype=float) - self.center) / self.width
+        inside = np.abs(u) < 1
+        w = np.where(inside, 1 - u * u, 1.0)
+        return u, inside, w, np.where(inside, np.exp(1 - 1 / w), 0.0)
 
-    def derivative(self, x: float) -> float:
-        u = (x - self.center) / self.width
-        if abs(u) >= 1:
-            return 0.0
-        w = 1 - u * u
-        return math.exp(1 - 1 / w) * (-2 * u / (w * w)) / self.width
+    def __call__(self, x):
+        val = self._parts(x)[3]
+        return val if val.ndim else float(val)
+
+    def derivative(self, x):
+        u, inside, w, f = self._parts(x)
+        val = np.where(inside, f * (-2 * u / (w * w)) / self.width, 0.0)
+        return val if val.ndim else float(val)
 
 
-def _kernel(y: float, z: float, nu: complex, epsilon: int) -> complex:
-    """|{-y-z}|^{nu-1} sgn(-y-z)^eps (the n=2 intertwining kernel)."""
-    u = -y - z
-    if u == 0:
-        return 0j
-    return _abs_pow(u, nu - 1) * _sgn_pow(u, epsilon)
+def _apply_pieces(y, a: float, b: float, epsilon: int):
+    """Split int_a^b f(w) |-y-w|^{nu-1} sgn(-y-w)^eps dw, for each y, into
+    pieces int_0^L c f(e + dir*h) (d0 + h)^{nu-1} dh at the singular point
+    w0 = -y: the part of [a, b] left of w0 runs leftward from min(w0, b),
+    the part right of it rightward from max(w0, a).  The kernel distance is
+    the exact offset d0 + h, d0 being the gap between w0 and the support."""
+    w0 = -y
+    iL, iR = np.flatnonzero(w0 > a), np.flatnonzero(w0 < b)
+    eL, eR = np.minimum(w0[iL], b), np.maximum(w0[iR], a)
+    return (
+        np.concatenate([iL, iR]),
+        np.concatenate([eL, eR]),
+        np.concatenate([-np.ones(iL.size), np.ones(iR.size)]),
+        np.concatenate([eL - a, b - eR]),
+        np.concatenate([np.maximum(-y[iL] - b, 0.0), np.maximum(a + y[iR], 0.0)]),
+        np.concatenate([np.ones(iL.size), np.full(iR.size, (-1.0) ** (epsilon % 2))]),
+    )
+
+
+def _apply_batch(fs, nu, epsilon, y, which, a, b, abs_tol, rel_tol, max_panels):
+    """(I_nu fs[which_i])(y_i) and error estimates for arrays y, which:
+    each y_i is one group of the graded rule, evaluated in slices so that
+    peak memory stays flat."""
+    val = np.empty(y.size, complex)
+    err = np.empty(y.size)
+    step = 128  # y values per slice
+    for i in range(0, y.size, step):
+        ys, ws = y[i : i + step], which[i : i + step]
+        owner, e, dirs, L, d0, c = _apply_pieces(ys, a, b, epsilon)
+        fn = ws[owner]
+
+        def phi(idx, h):
+            w = e[idx] + dirs[idx] * h
+            out = np.empty(h.size, complex)
+            for n, func in enumerate(fs):
+                m = fn[idx] == n
+                if m.any():
+                    out[m] = func(w[m])
+            return c[idx] * out, None
+
+        s = np.full(L.size, nu)
+        val[i : i + step], err[i : i + step] = graded_integrals(
+            phi, L, d0, s, owner, ys.size, abs_tol, rel_tol, max_panels
+        )
+    return val, err
 
 
 def intertwine_apply_n2(
@@ -663,30 +727,21 @@ def intertwine_apply_n2(
 ) -> np.ndarray:
     """(I_nu f)(y) = int f(z) |{-y-z}|^{nu-1} sgn(-y-z)^eps dz for each y in
     y_grid; f must vanish outside `support` (taken from f.support when not
-    given).  Requires Re nu > 0 (= n/2 - 1 for n = 2)."""
+    given) and accept numpy arrays.  Requires Re nu > 0 (= n/2 - 1 for
+    n = 2).  Every value is certified against its own error estimate."""
     nu = complex(nu)
     if nu.real <= 0:
         raise ConvergenceRegionError("intertwining integral needs Re nu > 0")
     if support is None:
         support = f.support
     a, b = float(support[0]), float(support[1])
-    p = nu.real
-    out = []
-    for y in y_grid:
-        y = float(y)
-
-        def g(z):
-            return f(z) * _kernel(y, z, nu, epsilon)
-
-        z0 = -y
-        if a < z0 < b:
-            v1, _ = _interval(g, a, z0, None, p, cfg)
-            v2, _ = _interval(g, z0, b, p, None, cfg)
-            out.append(v1 + v2)
-        else:
-            v, _ = _quad(g, a, b, cfg)
-            out.append(v)
-    return np.asarray(out, dtype=complex)
+    y = np.asarray(y_grid, dtype=float).ravel()
+    val, err = _apply_batch(
+        [f], nu, epsilon, y, np.zeros(y.size, int), a, b,
+        cfg.abs_tol, cfg.rel_tol, cfg.max_depth,
+    )
+    _require(val, err, cfg, "intertwine_apply_n2")
+    return val
 
 
 def intertwine_compose_n2(
@@ -701,15 +756,26 @@ def intertwine_compose_n2(
 ) -> np.ndarray:
     """(I_{-nu} (I~_nu f))(x) for x in x_grid, 0 < Re nu < 1.
 
-    The inner operator is the convergent integral of intertwine_apply_n2;
+    The inner operator g is the convergent integral of intertwine_apply_n2;
     the outer kernel |x+z|^{-nu-1} is not locally integrable, so it is
-    continued by finite-part subtraction around z = -x: the constant term
-    g(-x) integrates to 2 R^{-nu}/(-nu) for eps = 0 and to 0 for eps = 1.
-    The subtracted difference g(-x+u) - g(-x) is evaluated as a single
-    integral of the kernel difference: computing it as a difference of two
-    quadratures would leave noise of size ~rel_tol*|g| that the
-    |u|^{-nu-1} weight amplifies non-integrably.  The operator is a scalar
-    multiple of the identity; only ratios to the input are meaningful."""
+    continued by its finite part around z = -x, taken by one integration by
+    parts over |z+x| < R = window:
+    FP int_{-R}^{R} g(-x+u) K(u) du = [g(-x+u) A(u)]_{-R}^{R}
+        - int_{-R}^{R} g'(-x+u) A(u) du,
+    with A the antiderivative (-1)^eps sgn(u)^{eps+1} |u|^{-nu}/(-nu) of K,
+    whose u = 0 boundary terms continue to zero; g' = -I~_nu f' comes from
+    f.derivative.  Beyond the window the outer integral runs to +-far, and
+    past that g is continued by its asymptote g(+-far) (|z|/far)^{nu-1},
+    whose tail integrals are in closed form; this leaves an O(far^-2)
+    model error, which the error estimate does not cover.
+
+    g and g' are computed for a whole batch of outer nodes at once, with
+    inner tolerances a hundredth of cfg's, and their error estimates are
+    carried through the outer weights.  Each value is certified against the
+    summed error estimate of its pieces; when that misses the tolerance, the
+    point is computed once more with inner tolerances tightened by the
+    factor missed.  The operator is a scalar multiple of the identity; only
+    ratios to the input are meaningful."""
     nu = complex(nu)
     if not 0 < nu.real < 1:
         raise ConvergenceRegionError("composition probe needs 0 < Re nu < 1")
@@ -718,69 +784,68 @@ def intertwine_compose_n2(
     f_prime = getattr(f, "derivative", None)
     if f_prime is None:
         raise ValueError("f must provide a .derivative method")
+    a, b = float(support[0]), float(support[1])
+    R = float(window)
+    sign = (-1.0) ** (epsilon % 2)
 
-    def g(z):
-        return complex(
-            intertwine_apply_n2(f, nu, epsilon, [z], cfg, support=support)[0]
+    def tail_integral(x):
+        # int_far^inf (z/far)^{nu-1} (z + x)^{-nu-1} dz, |x| < far
+        r = x / far
+        if r == 0:
+            return far**-nu
+        return far**-nu * complex(np.expm1(-nu * math.log1p(r))) / (-nu * r)
+
+    def point(x, share):
+        def inner(z, which):
+            # which = 0: g(z); which = 1: g'(z) = -(I~_nu f')(z)
+            v, e = _apply_batch(
+                [f, f_prime], nu, epsilon, z, which, a, b,
+                cfg.abs_tol * share, cfg.rel_tol * share, cfg.max_depth,
+            )
+            return np.where(which == 1, -v, v), e
+
+        g, ge = inner(np.array([-x + R, -x - R, far, -far]), np.zeros(4, int))
+        # [g(-x+u) A(u)]_{-R}^{R}, A(R) = sign R^-nu/(-nu), A(-R) = R^-nu/nu
+        aR = R**-nu / nu
+        t_r, t_l = tail_integral(x), tail_integral(-x)
+        known = -sign * aR * g[0] - aR * g[1] + sign * g[2] * t_r + g[3] * t_l
+        known_err = abs(aR) * (ge[0] + ge[1]) + abs(t_r) * ge[2] + abs(t_l) * ge[3]
+        # -int_0^R g'(-x+-h) A(+-h) dh, then g(z) K(-x-z) over [-x+R, far] and
+        # [-far, -x-R], each as int_0^L phi(h) (d0 + h)^{s-1} dh
+        e = np.array([-x, -x, -x + R, -x - R])
+        dirs = np.array([1.0, -1.0, 1.0, -1.0])
+        c = np.array([sign / nu, -1 / nu, sign, 1.0])
+        of_derivative = np.array([1, 1, 0, 0])
+
+        def phi(idx, h):
+            v, ve = inner(e[idx] + dirs[idx] * h, of_derivative[idx])
+            return c[idx] * v, np.abs(c[idx]) * ve
+
+        val, err = graded_integrals(
+            phi,
+            np.array([R, R, far + x - R, far - x - R]),
+            np.array([0.0, 0.0, R, R]),
+            np.array([1 - nu, 1 - nu, -nu, -nu]),
+            np.zeros(4, int),
+            1,
+            cfg.abs_tol / 2,
+            cfg.rel_tol / 2,
+            cfg.max_depth,
+            base=known,
+            chunk=21 * 12,  # each outer node is a batch of inner integrals
         )
+        return val[0] + known, err[0] + known_err
 
-    def g_prime(z):
-        # the inner kernel depends on y and z through y+z only, so d/dy
-        # moves onto f as -d/dz
-        return -complex(
-            intertwine_apply_n2(f_prime, nu, epsilon, [z], cfg, support=support)[0]
-        )
-
-    def A(u):
-        # antiderivative of the outer kernel (-1)^eps sgn(u)^eps |u|^{-nu-1}
-        return (
-            (-1.0) ** (epsilon % 2)
-            * _sgn_pow(u, epsilon + 1)
-            * _abs_pow(u, -nu)
-            / (-nu)
-        )
-
-    R = window
-    out = []
-    for x in x_grid:
-        x = float(x)
-        # finite part over |z+x| < R by one integration by parts:
-        # FP int_{-R}^{R} g(-x+u) K(u) du = [g(-x+u) A(u)]_{-R}^{R}
-        #   - int_{-R}^{R} g'(-x+u) A(u) du,
-        # with the u=0 boundary terms continuing to zero; the remaining
-        # integrand has the integrable weight |u|^{-Re nu}, so the inner
-        # quadrature noise is no longer amplified.
-        boundary = g(-x + R) * A(R) - g(-x - R) * A(-R)
-
-        def gpa(u):
-            if u == 0:
-                return 0j
-            return g_prime(-x + u) * A(u)
-
-        p = 1 - nu.real
-        v1, _ = _interval(gpa, -R, 0.0, None, p, cfg)
-        v2, _ = _interval(gpa, 0.0, R, p, None, cfg)
-        singular_part = boundary - (v1 + v2)
-
-        def h_far(z):
-            return g(z) * _kernel(x, z, -nu, epsilon)
-
-        # outer region: g decays like |z|^{Re nu - 1}, kernel like
-        # |z|^{-Re nu - 1}; integrate to +-far, then continue with the
-        # asymptote g(z) ~ g(+-far) (|z|/far)^{nu-1} (sgn matched at the
-        # calibration point), which leaves an O(far^{-2}) error instead of
-        # the O(far^{-1}) of plain truncation.
-        v3, _ = _quad(h_far, -x + R, far, cfg)
-        v4, _ = _quad(h_far, -far, -x - R, cfg)
-        g_right, g_left = g(far), g(-far)
-
-        def asym_right(z):
-            return g_right * _abs_pow(z / far, nu - 1) * _kernel(x, z, -nu, epsilon)
-
-        def asym_left(z):
-            return g_left * _abs_pow(z / far, nu - 1) * _kernel(x, z, -nu, epsilon)
-
-        t_r, _ = _tail(asym_right, far, 1, -2.0, cfg)
-        t_l, _ = _tail(asym_left, far, -1, -2.0, cfg)
-        out.append(singular_part + v3 + v4 + t_r + t_l)
-    return np.asarray(out, dtype=complex)
+    out, est = [], []
+    for x in np.asarray(x_grid, dtype=float).ravel():
+        if not 0 < R < far - abs(x):
+            raise ValueError("need 0 < window < far - |x|")
+        v, e = point(x, 1e-2)
+        tol = max(cfg.abs_tol, cfg.rel_tol * abs(v))
+        if not e <= tol:
+            v, e = point(x, 1e-2 * min(1e-2, tol / (4 * e)))
+        out.append(v)
+        est.append(e)
+    out, est = np.asarray(out, dtype=complex), np.asarray(est)
+    _require(out, est, cfg, "intertwine_compose_n2")
+    return out

@@ -17,7 +17,7 @@ import cmath
 import re as _re
 from dataclasses import dataclass
 
-from .errors import ParseError, PoleError
+from .errors import EmptyRepresentationError, ParseError, PoleError
 from .principal_series import PSParams
 from .special import (
     _is_nonpositive_even_integer,
@@ -272,7 +272,12 @@ def embedding_params(p: IsobaricSum, alt_delta: bool = False) -> PSParams:
 
     Each GL(1) block sigma[s] contributes lambda = -s with delta its parity;
     each D_k[s] contributes lambda = (-s-(k-1)/2, -s+(k-1)/2) with
-    delta = (k mod 2, 0), or the equivalent (k+1 mod 2, 1) when alt_delta."""
+    delta = (k mod 2, 0), or the equivalent (k+1 mod 2, 1) when alt_delta.
+    Raises EmptyRepresentationError for the empty sum, which has no n >= 1."""
+    if not p.blocks:
+        raise EmptyRepresentationError(
+            "the isobaric sum is empty, so it has no principal-series embedding"
+        )
     lam: list[complex] = []
     delta: list[int] = []
     for b in p.blocks:

@@ -115,6 +115,16 @@ def test_gamma_embedding_and_validate(capsys):
     assert env["result"]["violations"]  # 0.1/-0.2 shifts are not self-dual
 
 
+def test_gamma_embedding_of_empty_sum_is_domain_error(capsys):
+    # Ext^2 of a one-dimensional rep is the empty sum: no embedding exists
+    code, out, err = run(
+        capsys, "gamma", "--rep", "triv", "--functor", "ext2", "--embedding"
+    )
+    assert code == EXIT_DOMAIN and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "EmptyRepresentationError"
+
+
 def test_verify_betalike_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "betalike", "--tol", "1e-6")
     assert code == EXIT_OK

@@ -5,12 +5,15 @@ pairing scalars, and the n=2 intertwining operator."""
 import cmath
 import math
 
+import mpmath as mp
+import numpy as np
 import pytest
 
 from mirabolic.characters import enumerate_characters, gauss_sum
 from mirabolic.eisenstein import EisParams
 from mirabolic.errors import (
     ConvergenceRegionError,
+    MirabolicError,
     NormalizationError,
     NotPrimitiveError,
     PoleError,
@@ -34,6 +37,7 @@ from mirabolic.fe_verify import (
     pairing_fe_gamma_product,
     pairing_fe_gamma_product_s,
 )
+from mirabolic.panels import _GAUSS_W, _KRONROD_W, _KRONROD_X
 from mirabolic.special import G_delta
 
 
@@ -118,6 +122,19 @@ def test_beta_like_quadrature_n3():
     assert abs(v - closed) < 1e-4 * abs(closed)
 
 
+def test_beta_like_quadrature_n3_tail_underflow():
+    # near sum(beta) = 0.95 the tail substitution's u**k and u*u underflow
+    # to 0, where the tail integrand must not divide by zero
+    beta, eta, t = (0.2984, 0.3290, 0.3216), (0, 1, 1), 0.959
+    cfg = QuadratureConfig()
+    closed = beta_like_closed(beta, eta, t)
+    try:
+        v = beta_like_quadrature(beta, eta, t, cfg)
+    except MirabolicError:
+        return
+    assert abs(v - closed) <= 10 * max(cfg.abs_tol, cfg.rel_tol * abs(closed))
+
+
 def test_beta_like_quadrature_region_checks():
     cfg = QuadratureConfig()
     with pytest.raises(ConvergenceRegionError):
@@ -134,6 +151,15 @@ def test_certification_failure_surfaces():
     with pytest.raises(ToleranceNotMetError) as ei:
         beta_like_quadrature([0.3, 0.4], [0, 0], 1.0, cfg)
     assert ei.value.achieved > 0
+    # the intertwining operators certify against their own estimates, whose
+    # rounding floor (sums of many panels in double precision) exceeds 1e-14
+    cfg = QuadratureConfig(abs_tol=1e-16, rel_tol=1e-14)
+    f = Bump(0.0, 1.0)
+    with pytest.raises(ToleranceNotMetError) as ei:
+        intertwine_compose_n2(f, 0.6, 0, [-0.2], cfg)
+    assert ei.value.achieved > 0
+    with pytest.raises(ToleranceNotMetError):
+        intertwine_apply_n2(f, 0.6, 0, [0.3], cfg)
 
 
 def test_oscillatory_integral_matches_closed():
@@ -225,6 +251,32 @@ def test_bump_shape_and_derivative():
     assert f.derivative(4.0) == 0.0
     with pytest.raises(ValueError):
         Bump(0.0, 0.0)
+    # on arrays: the same values as elementwise scalar calls, and as the
+    # formula in math-module arithmetic, including the support edges |u| = 1
+    xs = np.array([-1.5, -1.0, 0.1, 0.5, 1.9, 2.5, 3.0, 2.4999999])
+    assert isinstance(f(0.1), float) and isinstance(f.derivative(0.1), float)
+    assert f(xs).shape == xs.shape
+    assert list(f(xs)) == [f(float(x)) for x in xs]
+    assert list(f.derivative(xs)) == [f.derivative(float(x)) for x in xs]
+    for x, v, d in zip(xs, f(xs), f.derivative(xs)):
+        u = (x - 0.5) / 2.0
+        if abs(u) >= 1:
+            assert v == 0.0 and d == 0.0
+            continue
+        w = 1 - u * u
+        want = math.exp(1 - 1 / w)
+        assert abs(v - want) <= 1e-15 * want
+        assert abs(d - want * (-2 * u / (w * w)) / 2.0) <= 1e-14 * abs(want / (w * w))
+
+
+def test_kronrod_rule_exactness():
+    # the 21-point Kronrod rule is exact to degree 31, its embedded 10-point
+    # Gauss rule to degree 19
+    for d in range(32):
+        exact = (1 - (-1) ** (d + 1)) / (d + 1)
+        assert abs(_KRONROD_W @ _KRONROD_X**d - exact) < 1e-14
+        if d < 20:
+            assert abs(_GAUSS_W @ _KRONROD_X**d - exact) < 1e-14
 
 
 def test_intertwine_apply_scaling():
@@ -248,6 +300,39 @@ def test_intertwine_compose_scalar():
     for x, v in zip([-0.2, 0.1], vals):
         ratio = complex(v) / f(x)
         assert abs(ratio - gamma) < 5e-3 * abs(gamma)
+        assert abs(ratio - gamma) < 1e-5 * abs(gamma)
+        # each x is computed on its own: a grid equals single-x calls
+        assert intertwine_compose_n2(f, nu, 0, [x], cfg)[0] == v
+
+
+def _apply_tanh_sinh(center, width, nu, y):
+    # int bump(z) |-y-z|^{nu-1} dz (epsilon = 0) by mpmath's tanh-sinh,
+    # split at the kernel singularity z = -y when it lies in the support
+    nu, y = mp.mpc(nu), mp.mpf(y)
+
+    def g(z):
+        u, d = (z - center) / width, -y - z
+        if abs(u) >= 1 or d == 0:
+            return mp.mpf(0)
+        return mp.exp(1 - 1 / (1 - u * u)) * mp.power(abs(d), nu - 1)
+
+    a, b = mp.mpf(center - width), mp.mpf(center + width)
+    with mp.workdps(30):
+        return complex(mp.quad(g, [a, -y, b] if a < -y < b else [a, b]))
+
+
+@pytest.mark.parametrize("nu", [0.6, 0.8 + 0.5j])
+def test_intertwine_apply_matches_tanh_sinh(nu):
+    # support (-0.5, 1.0), both edges exact in binary: -y inside the
+    # support, exactly on each edge, just outside, and in the far field
+    center, width = 0.25, 0.75
+    f = Bump(center, width)
+    cfg = QuadratureConfig(abs_tol=1e-10, rel_tol=1e-8)
+    ys = [0.3, -0.55, 0.5, -1.0, -1.0 - 1e-9, 2.0, -40.0, 150.0]
+    vals = intertwine_apply_n2(f, nu, 0, ys, cfg)
+    for y, v in zip(ys, vals):
+        want = _apply_tanh_sinh(center, width, nu, y)
+        assert abs(v - want) <= max(cfg.abs_tol, cfg.rel_tol * abs(want)), y
 
 
 def test_intertwine_compose_requires_derivative():
