@@ -16,7 +16,7 @@ import cmath
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -186,14 +186,6 @@ def enumerate_characters(N: int) -> list[DirichletCharacter]:
     return chars
 
 
-def evaluate(psi: DirichletCharacter, a: int) -> complex:
-    return psi(a)
-
-
-def parity(psi: DirichletCharacter) -> int:
-    return psi.parity
-
-
 def finite_fourier(psi: DirichletCharacter, m: int) -> complex:
     """psi-hat(m) = sum_{a mod N} psi(a) e(a*m/N), exact exponent arithmetic."""
     N = psi.modulus
@@ -208,15 +200,17 @@ def gauss_sum(psi: DirichletCharacter) -> complex:
     return finite_fourier(psi, 1)
 
 
-def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+def divisors(n: int) -> list[int]:
+    """The positive divisors of n >= 1 in ascending order, by trial division
+    up to sqrt(n)."""
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def conductor(psi: DirichletCharacter) -> int:
     """Smallest f | N such that psi factors through (Z/f)*."""
     N = psi.modulus
-    for f in _divisors(N):
+    for f in divisors(N):
         if all(
             psi.exponents[a % N] == 0
             for a in range(1, N + 1, f)

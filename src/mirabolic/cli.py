@@ -19,18 +19,6 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 
 
-def _parse_complex(text: str) -> complex:
-    parts = text.split(",")
-    try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
-    except ValueError:
-        pass
-    raise ParseError(f"bad complex value {text!r} (expected re or re,im)")
-
-
 def _c(z: complex) -> dict:
     z = complex(z)
     return {"re": z.real, "im": z.imag}
@@ -133,7 +121,7 @@ def _eis_params(args) -> eisenstein.EisParams:
     if not 0 <= args.char_index < len(chars):
         raise ParseError(f"char index out of range (have {len(chars)})")
     psi = chars[args.char_index]
-    return eisenstein.EisParams(args.n, _parse_complex(args.nu), psi, psi.parity)
+    return eisenstein.EisParams(args.n, gamma_factors.parse_complex(args.nu), psi, psi.parity)
 
 
 def cmd_eis(args) -> dict:
@@ -206,7 +194,7 @@ def cmd_gamma(args) -> dict:
         "dimension": out.dimension,
     }
     if args.eval is not None:
-        s = _parse_complex(args.eval)
+        s = gamma_factors.parse_complex(args.eval)
         inputs["eval"] = _c(s)
         result["value"] = _c(gamma_factors.evaluate_gamma_product(g, s))
     if args.embedding:

@@ -23,8 +23,9 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd
 
-from . import _kernels
-from .characters import DirichletCharacter, euler_phi, finite_fourier
+import numpy as np
+
+from .characters import DirichletCharacter, divisors, euler_phi, finite_fourier
 from .errors import ConvergenceRegionError, PoleError
 from .special import (
     DEFAULT_PRECISION,
@@ -78,10 +79,6 @@ def _gcd_vec(r) -> int:
     return reduce(gcd, (abs(int(x)) for x in r), 0)
 
 
-def _divisors(g: int) -> list[int]:
-    return [d for d in range(1, g + 1) if g % d == 0]
-
-
 def _cpow(d: int, z: complex) -> complex:
     return cmath.exp(z * cmath.log(d))
 
@@ -103,7 +100,7 @@ def coeff_big_cell(
             raise PoleError("a_0 pole at nu = n/2 for principal psi")
         return pref * euler_phi(N) * riemann_zeta(nu - n / 2 + 1, config)
     total = 0j
-    for d in _divisors(g):
+    for d in divisors(g):
         total += _cpow(d, -nu + n / 2 - 1) * finite_fourier(psi, -r[0] // d)
     return pref * total
 
@@ -121,7 +118,7 @@ def coeff_wlong_cell(
     if g == 0:
         return pref * dirichlet_L(nu - n / 2 + 1, psi, config)
     total = 0j
-    for d in _divisors(g):
+    for d in divisors(g):
         total += psi(d) * _cpow(d, -nu + n / 2 - 1)
     return pref * total
 
@@ -143,8 +140,41 @@ def brute_force_c_r(params: EisParams, r, d_max: int) -> complex:
     n, nu, psi = params.n, complex(params.nu), params.psi
     N = params.level
     psi_values = [psi(d) for d in range(1, d_max + 1)]
-    total = _kernels.bf_weighted_sum(n, nu, r, d_max, psi_values)
+    total = bf_weighted_sum(n, nu, r, d_max, psi_values)
     return float(N) ** (1 - n) * total
+
+
+def grid_exp_sum(d: int, r) -> complex:
+    """sum over v in (Z/d)^m of e((r . v)/d), by direct grid summation.
+
+    The phase index is accumulated modulo d in integer arithmetic, so the
+    result is a sum of exact d-th roots of unity.
+    """
+    r = np.asarray(r, dtype=np.int64)
+    m = len(r)
+    if d == 1:
+        return complex(1.0)
+    roots = np.exp(2j * np.pi * np.arange(d) / d)
+    v = np.arange(d, dtype=np.int64)
+    idx = np.zeros((1,), dtype=np.int64)
+    for i in range(m):
+        idx = (idx[:, None] + (r[i] % d) * v[None, :]) % d
+        idx = idx.reshape(-1)
+    return complex(roots[idx].sum())
+
+
+def bf_weighted_sum(n: int, nu: complex, r, d_max: int, psi_values) -> complex:
+    """sum_{d=1}^{d_max} psi(d) d^{-nu-n/2} grid_exp_sum(d, r).
+
+    psi_values[d-1] must hold psi(d) for d = 1..d_max.
+    """
+    total = 0j
+    for d in range(1, d_max + 1):
+        w = complex(psi_values[d - 1])
+        if w == 0:
+            continue
+        total += w * cmath.exp((-nu - n / 2) * cmath.log(d)) * grid_exp_sum(d, r)
+    return total
 
 
 def delta_atom_sum(

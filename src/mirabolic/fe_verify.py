@@ -2,34 +2,35 @@
 
 The closed forms here are ratios/products of G_delta factors (Gauss-sum and
 level powers included where relevant); each one is paired with an independent
-numerical route — adaptive quadrature with power-law substitutions at the
-algebraic singularities, 1/u mappings on the tails, and repeated integration
-by parts past a cutoff for the conditionally convergent oscillatory integral.
+numerical route.  Every route runs on one rule, from mirabolic.panels:
+composite 21-point Gauss-Kronrod panels on numpy arrays, graded
+geometrically toward each |x-a|^{p-1} endpoint, with the last panel
+integrated against the exact kernel mass, and adaptive bisection of the
+panels whose embedded estimate is too large.  A line integral is cut into
+pieces at its singular points, evaluated at exact offsets from them, with
+the tails mapped by x = a +- R/u; the conditionally convergent oscillatory
+integral switches to repeated integration by parts past a cutoff.  Whole
+batches of integrals are refined at once: the inner integrals at the outer
+nodes of the nested n=3 beta-like integral, and those of the n=2
+intertwining composition.
+
 A quadrature oracle that cannot certify agreement with its closed form raises
-ToleranceNotMetError rather than returning silently.
-
-The n=2 intertwining operators (intertwine_apply_n2, intertwine_compose_n2)
-use their own rule on numpy arrays, from mirabolic.panels: composite
-21-point Gauss-Kronrod panels, graded geometrically toward each |h|^{p-1}
-endpoint, with the last panel integrated against the exact kernel mass, and
-adaptive bisection of the panels whose embedded estimate is too large.  A
-whole batch of integrals (one per outer node of the composition) is refined
-at once.  No closed form is inside the composition, so these two certify
-each value against the summed error estimate of its pieces instead, and
-raise ToleranceNotMetError when it misses the tolerance.  Their test
-functions f (and f.derivative) must accept numpy arrays.
+ToleranceNotMetError rather than returning silently.  The intertwining
+operators (intertwine_apply_n2, intertwine_compose_n2) have no closed form
+inside them, so they certify each value against the summed error estimate
+of its pieces instead, and raise ToleranceNotMetError when it misses the
+tolerance.  Their test functions f (and f.derivative) must accept numpy
+arrays.
 """
-
 from __future__ import annotations
 
 import cmath
 import math
 import os
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-import scipy.integrate as _si
 
 from .characters import gauss_sum, is_primitive
 from .errors import (
@@ -44,23 +45,15 @@ from .eisenstein import EisParams, nu_from_s
 from .panels import graded_integrals
 from .special import G_delta, G_delta_is_zero
 
-try:  # scipy >= 1.12
-    from scipy.integrate import tanhsinh as _tanhsinh
-except ImportError:  # pragma: no cover
-    _tanhsinh = None
-
 _TWO_PI_I = 2j * math.pi
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and strategy knobs for the quadrature oracles.
+    """Tolerances for the quadrature oracles, which all run on the graded
+    Gauss-Kronrod rule of mirabolic.panels.
 
-    max_depth: subintervals per adaptive quadrature; for the intertwining
-        operators, Gauss-Kronrod panels per piece.
-    singularity_substitution: "power" maps |x-a|^{p-1} endpoint behaviour
-        through x = a + u^k; "tanh_sinh" uses a double-exponential rule on
-        the raw integrand.  The intertwining operators ignore it.
+    max_depth: Gauss-Kronrod panels per piece of that rule.
     oscillatory_cutoff: number of periods integrated directly before
         switching to the integrated-by-parts asymptotic tail.
     """
@@ -68,7 +61,6 @@ class QuadratureConfig:
     abs_tol: float = 1e-9
     rel_tol: float = 1e-7
     max_depth: int = 200
-    singularity_substitution: str = "power"
     oscillatory_cutoff: float = 10.0
 
     def __post_init__(self):
@@ -76,8 +68,6 @@ class QuadratureConfig:
             raise ValueError("tolerances must be positive")
         if not 1 <= self.max_depth <= 10_000:
             raise ValueError("max_depth out of range")
-        if self.singularity_substitution not in ("power", "tanh_sinh"):
-            raise ValueError("unknown singularity_substitution")
         if self.oscillatory_cutoff <= 0:
             raise ValueError("oscillatory_cutoff must be positive")
 
@@ -96,81 +86,7 @@ DEFAULT_QUAD = QuadratureConfig()
 
 
 # ---------------------------------------------------------------------------
-# generic singular-line quadrature
-
-
-def _quad(f, a, b, cfg: QuadratureConfig):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", _si.IntegrationWarning)
-        val, err = _si.quad(
-            f,
-            a,
-            b,
-            epsabs=cfg.abs_tol,
-            epsrel=cfg.rel_tol,
-            limit=cfg.max_depth,
-            complex_func=True,
-        )
-    if isinstance(err, complex):
-        err = abs(err.real) + abs(err.imag)
-    return complex(val), float(err)
-
-
-def _power_sub_left(f, a, b, p):
-    """Transform int_a^b f with |x-a|^{p-1} behaviour at a into a smooth
-    integrand on [0, (b-a)^{1/k}]."""
-    k = max(1, math.ceil(3.0 / p))
-    top = (b - a) ** (1.0 / k)
-
-    def g(u):
-        return f(a + u**k) * k * u ** (k - 1)
-
-    return g, 0.0, top
-
-
-def _interval(f, a, b, p_a, p_b, cfg: QuadratureConfig):
-    """Integrate f on [a, b] where the integrand behaves like
-    |x-a|^{p_a - 1} near a and |x-b|^{p_b - 1} near b (None = regular)."""
-    if p_a is not None and p_b is not None:
-        mid = 0.5 * (a + b)
-        va, ea = _interval(f, a, mid, p_a, None, cfg)
-        vb, eb = _interval(f, mid, b, None, p_b, cfg)
-        return va + vb, ea + eb
-    if p_a is None and p_b is None:
-        return _quad(f, a, b, cfg)
-    if cfg.singularity_substitution == "tanh_sinh" and _tanhsinh is not None:
-        res_re = _tanhsinh(
-            lambda x: f(x).real, a, b, atol=cfg.abs_tol, rtol=cfg.rel_tol
-        )
-        res_im = _tanhsinh(
-            lambda x: f(x).imag, a, b, atol=cfg.abs_tol, rtol=cfg.rel_tol
-        )
-        return (
-            complex(res_re.integral, res_im.integral),
-            float(abs(res_re.error) + abs(res_im.error)),
-        )
-    if p_a is not None:
-        g, lo, hi = _power_sub_left(f, a, b, p_a)
-    else:
-        g, lo, hi = _power_sub_left(lambda x: f(a + b - x), a, b, p_b)
-    return _quad(g, lo, hi, cfg)
-
-
-def _tail(f, R, side, tail_exp, cfg: QuadratureConfig):
-    """int over x > R (side=+1) or x < -R (side=-1) of f, where
-    |f(x)| ~ |x|^{tail_exp} with tail_exp < -1.  Maps x = side*R/u."""
-
-    def g(u):
-        # the power substitution's u**k, and u*u here, can underflow to 0;
-        # the integrand is taken as 0 there, as SingularProduct does at d = 0
-        uu = u * u
-        if uu == 0:
-            return 0j
-        return f(side * R / u) * R / uu
-
-    p = -tail_exp - 1  # local exponent of g at u=0: u^{p-1}
-    p_a = p if p < 1 else None
-    return _interval(g, 0.0, 1.0, p_a, None, cfg)
+# singular products on the real line
 
 
 def _sgn_pow(x: float, eta: int) -> float:
@@ -183,107 +99,129 @@ def _abs_pow(x: float, expo: complex) -> complex:
     return cmath.exp(complex(expo) * math.log(abs(x)))
 
 
-class SingularProduct:
-    """An integrand prod_i |x - pos_i|^{beta_i - 1} sgn(x - pos_i)^{eta_i}
-    times an optional smooth factor and a constant.
+def _power_product(d, beta, eta):
+    """prod_j |d_j|^{beta_j - 1} sgn(d_j)^{eta_j} over the last axis of the
+    nonzero array d; real when every beta_j is."""
+    logd = np.log(np.abs(d))
+    v = np.exp(logd @ (beta.real - 1))
+    odd = eta == 1
+    if odd.any():
+        v = np.where(np.count_nonzero(d[..., odd] < 0, axis=-1) % 2, -v, v)
+    if beta.imag.any():
+        t = logd @ beta.imag
+        v = v * (np.cos(t) + 1j * np.sin(t))
+    return v
 
-    The point of the class (rather than a closure) is exact-offset
-    evaluation: near a singular point the caller supplies the signed
-    distance h directly, so |x - pos_i| = |h| is computed without the
-    catastrophic cancellation of reconstructing it from x = pos_i + h.
+
+class SingularProduct:
+    """An integrand const * prod_i |x - pos_i|^{beta_i - 1} sgn(x - pos_i)^{eta_i}.
+
+    The positions may be arrays of one shape: a batch of products that share
+    their exponents, one product per position.  The point of the class
+    (rather than a closure) is exact-offset evaluation: near a singular point
+    the caller supplies the signed distance h directly, so |x - pos_i| = |h|
+    is computed without the catastrophic cancellation of reconstructing it
+    from x = pos_i + h, and the other factors get (pos_i - pos_j) + h.
     """
 
-    def __init__(self, terms, smooth=None, const: complex = 1.0):
-        self.terms = [
-            (float(pos), complex(beta), int(eta) % 2) for pos, beta, eta in terms
-        ]
-        self.smooth = smooth
+    def __init__(self, terms, const: complex = 1.0):
+        pos, beta, eta = zip(*terms)
+        pos = np.broadcast_arrays(*(np.asarray(p, dtype=float) for p in pos))
+        self.positions = np.stack(pos, axis=-1)
+        self.betas = np.array(beta, dtype=complex)
+        self.etas = np.array(eta, dtype=int) % 2
         self.const = complex(const)
-        self.positions = [t[0] for t in self.terms]
-        self.exponents = [t[1].real for t in self.terms]
 
-    def eval_near(self, idx: int, h: float) -> complex:
-        pos0 = self.terms[idx][0]
-        val = self.const
-        for i, (pos, beta, eta) in enumerate(self.terms):
-            d = h if i == idx else (pos0 - pos) + h
-            if d == 0:
-                return 0j
-            val *= _abs_pow(d, beta - 1) * _sgn_pow(d, eta)
-        if self.smooth is not None:
-            val *= self.smooth(pos0 + h)
-        return val
-
-    def __call__(self, x: float) -> complex:
-        val = self.const
-        for pos, beta, eta in self.terms:
-            d = x - pos
-            if d == 0:
-                return 0j
-            val *= _abs_pow(d, beta - 1) * _sgn_pow(d, eta)
-        if self.smooth is not None:
-            val *= self.smooth(x)
-        return val
+    def eval_near(self, idx: int, h):
+        """The product at x = pos_idx + h, h a float or an array; 0 where
+        some factor's distance is 0."""
+        h = np.asarray(h, dtype=float)
+        d = (self.positions[..., idx, None] - self.positions) + h[..., None]
+        zero = (d == 0).any(axis=-1)
+        d = np.where(zero[..., None], 1.0, d)
+        val = np.where(zero, 0j, self.const * _power_product(d, self.betas, self.etas))
+        return val if val.ndim else complex(val)
 
 
-def _piece_near(sp, idx: int, sign: int, length: float, cfg: QuadratureConfig):
-    """Integrate sp over x = pos_idx + sign*h, h in (0, length), resolving
-    the |h|^{p-1} endpoint behaviour (p = local exponent at pos_idx)."""
-    p = sp.exponents[idx]
-    if cfg.singularity_substitution == "tanh_sinh" and _tanhsinh is not None and p < 1:
-        def g(h):
-            return sp.eval_near(idx, sign * h)
+class _Pieces(NamedTuple):
+    """Pieces int_0^L phi(h) h^{s-1} dh of a batch of line integrals, with
+    phi(h) = c prod_j |A_j + B_j h|^{beta_j - 1} sgn(A_j + B_j h)^{eta_j}."""
 
-        res_re = _tanhsinh(
-            lambda h: g(h).real, 0.0, length, atol=cfg.abs_tol, rtol=cfg.rel_tol
-        )
-        res_im = _tanhsinh(
-            lambda h: g(h).imag, 0.0, length, atol=cfg.abs_tol, rtol=cfg.rel_tol
-        )
-        return (
-            complex(res_re.integral, res_im.integral),
-            float(abs(res_re.error) + abs(res_im.error)),
-        )
-    k = max(1, math.ceil(3.0 / p)) if p < 3 else 1
-    top = length ** (1.0 / k)
+    row: np.ndarray  # the product each piece belongs to
+    anchor: np.ndarray  # the term whose singular point the piece starts at
+    tail: np.ndarray  # whether the piece is a tail, in the variable u
+    L: np.ndarray
+    s: np.ndarray
+    A: np.ndarray  # (pieces, terms)
+    B: np.ndarray
+    c: np.ndarray
 
-    def g(u):
-        return sp.eval_near(idx, sign * u**k) * k * u ** (k - 1)
 
-    return _quad(g, 0.0, top, cfg)
+def _line_pieces(sp: SingularProduct) -> _Pieces:
+    """Cut the real line of each product of sp into pieces for
+    panels.graded_integrals: two near pieces x = pos_i -+ h at each singular
+    point, kernel h^{beta_i - 1}, meeting their neighbours' at the midpoints
+    and reaching R past the extreme points (R the distance between those, 1
+    for a single point); and two tail pieces x = pos_min - R/u and
+    x = pos_max + R/u, u in (0, 1], kernel u^{s-1} with the
+    complex s = -sum(beta_i - 1) - 1, so that phi stays smooth at u = 0.
+    Every factor is computed from exact offsets pos_i - pos_j."""
+    k = sp.betas.size
+    pos = sp.positions.reshape(-1, k)
+    m = pos.shape[0]
+    order = np.argsort(pos, axis=1)
+    p = np.take_along_axis(pos, order, axis=1)
+    gap = np.diff(p, axis=1)
+    if not np.all(gap > 0):
+        raise ValueError("coincident singular points are not supported")
+    R = p[:, -1] - p[:, 0] if k > 1 else np.ones(m)
+    reach = np.column_stack([R, gap / 2, R])
+    # per product: pieces left and right of each sorted point, then two tails
+    rank = np.concatenate([np.repeat(np.arange(k), 2), [0, k - 1]])
+    dirs = np.concatenate([np.tile([-1.0, 1.0], k), [-1.0, 1.0]])
+    tail = np.arange(rank.size) >= 2 * k
+    anchor = order[:, rank]
+    off = p[:, rank, None] - pos[:, None, :]
+    is_anchor = anchor[..., None] == np.arange(k)
+    d3, R3 = dirs[:, None], R[:, None, None]
+    A = np.where(tail[:, None], d3 * R3, np.where(is_anchor, d3, off))
+    B = np.where(tail[:, None], off, np.where(is_anchor, 0.0, d3))
+    L = np.where(tail, 1.0, reach[:, rank + (dirs > 0)])
+    s = np.where(tail, -(sp.betas - 1).sum() - 1, sp.betas[anchor])
+    c = sp.const * np.where(tail, R[:, None], 1.0)
+    return _Pieces(
+        np.repeat(np.arange(m), rank.size), anchor.ravel(), np.tile(tail, m),
+        L.ravel(), s.ravel(), A.reshape(-1, k), B.reshape(-1, k), c.ravel(),
+    )
+
+
+def _product_line(sp: SingularProduct, abs_tol, rel_tol, max_panels):
+    """Line integrals of every product of sp and their error estimates, as
+    arrays; abs_tol may be one value per product."""
+    P = _line_pieces(sp)
+
+    def phi(idx, h):
+        d = P.A[idx] + P.B[idx] * h[:, None]
+        return P.c[idx] * _power_product(d, sp.betas, sp.etas), None
+
+    return graded_integrals(
+        phi, P.L, np.zeros(P.L.size), P.s, P.row, P.row[-1] + 1,
+        abs_tol, rel_tol, max_panels,
+    )
 
 
 def integrate_product_line(sp, tail_exp: float, cfg: QuadratureConfig):
-    """Integrate a SingularProduct-style integrand over the whole real line.
+    """Integrate a SingularProduct over the whole real line, on the graded
+    Gauss-Kronrod rule of mirabolic.panels.
 
-    tail_exp: decay exponent of |sp(x)| at infinity, must be < -1.
-    Returns (value, error_estimate)."""
+    tail_exp: decay exponent Re sum(beta_i - 1) of |sp(x)| at infinity, must
+    be < -1.  Returns (value, error_estimate), arrays for a batch."""
     if tail_exp >= -1:
         raise ConvergenceRegionError("integrand does not decay at infinity")
-    order = sorted(range(len(sp.positions)), key=lambda i: sp.positions[i])
-    total, err = 0j, 0.0
-    # outermost bounded pieces (unit length past the extreme singular points)
-    v, e = _piece_near(sp, order[0], -1, 1.0, cfg)
-    total, err = total + v, err + e
-    v, e = _piece_near(sp, order[-1], 1, 1.0, cfg)
-    total, err = total + v, err + e
-    # between consecutive singular points, split at the midpoint
-    for i0, i1 in zip(order, order[1:]):
-        gap = sp.positions[i1] - sp.positions[i0]
-        if gap == 0:
-            raise ValueError("coincident singular points are not supported")
-        v, e = _piece_near(sp, i0, 1, gap / 2, cfg)
-        total, err = total + v, err + e
-        v, e = _piece_near(sp, i1, -1, gap / 2, cfg)
-        total, err = total + v, err + e
-    # tails, translated to start at +-1
-    right = sp.positions[order[-1]] + 1.0
-    left = sp.positions[order[0]] - 1.0
-    v, e = _tail(lambda x: sp(x + right - 1.0), 1.0, 1, tail_exp, cfg)
-    total, err = total + v, err + e
-    v, e = _tail(lambda x: sp(x + left + 1.0), 1.0, -1, tail_exp, cfg)
-    total, err = total + v, err + e
-    return total, err
+    val, est = _product_line(sp, cfg.abs_tol, cfg.rel_tol, cfg.max_depth)
+    if sp.positions.ndim == 1:
+        return complex(val[0]), float(est[0])
+    return val, est
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +332,9 @@ def _betalike_product(beta0, eta0, beta1, eta1, t) -> SingularProduct:
 
 
 def beta_like_quadrature(beta, eta, t_n: float, cfg: QuadratureConfig = DEFAULT_QUAD) -> complex:
-    """The beta-like integral by direct (nested) adaptive quadrature,
-    n = len(beta) in {2, 3}.  Certifies agreement with beta_like_closed."""
+    """The beta-like integral by direct (nested) quadrature on the graded
+    rule, n = len(beta) in {2, 3}.  Certifies agreement with
+    beta_like_closed."""
     beta = [complex(b) for b in beta]
     eta = [int(e) for e in eta]
     n = len(beta)
@@ -408,79 +347,63 @@ def beta_like_quadrature(beta, eta, t_n: float, cfg: QuadratureConfig = DEFAULT_
         tail = (beta[0] + beta[1]).real - 2
         val, est = integrate_product_line(sp, tail, cfg)
     else:
-        b01 = (beta[0] + beta[1]).real
-
-        base_cache: dict[float, complex] = {}
-
-        def inner(tprime: float) -> complex:
-            # Beyond |t'| ~ 1e6 the two singular points are too far apart
-            # for the piecewise substitutions to stay conditioned, so apply
-            # the exact change of variables x = t' u first: the integral at
-            # t' is |t'|^{beta0+beta1-1} times the one at sgn(t') (same
-            # sign, so no extra parity factor), which is still computed by
-            # quadrature.
-            if abs(tprime) > 1e6:
-                s = math.copysign(1.0, tprime)
-                if s not in base_cache:
-                    base_cache[s] = inner(s)
-                return base_cache[s] * _abs_pow(tprime, beta[0] + beta[1] - 1)
-            # The inner integral scales like |t'|^{b01-1} (homogeneity), so
-            # its absolute tolerance must follow that scale or the outer
-            # tail (which samples |t'| over many decades) sees O(1)
-            # relative noise in the deep-tail region.
-            scale = abs(tprime) ** (b01 - 1) if tprime != 0 else 1.0
-            inner_cfg = replace(
-                cfg,
-                abs_tol=max(cfg.abs_tol / 100 * scale, 1e-300),
-                rel_tol=cfg.rel_tol / 100,
-            )
-            sp1 = _betalike_product(beta[0], eta[0], beta[1], eta[1], tprime)
-            v, _ = integrate_product_line(sp1, b01 - 2, inner_cfg)
-            return v
-
-        outer = _Nested3Integrand(inner, t, beta[2], eta[2], b01)
-        tail = sum(b.real for b in beta) - 2
-        outer_cfg = replace(cfg, abs_tol=cfg.abs_tol / 3, rel_tol=cfg.rel_tol / 3)
-        val, est = integrate_product_line(outer, tail, outer_cfg)
+        val, est = _beta_like_n3(beta, eta, t, cfg)
     closed = beta_like_closed(beta, eta, t)
     _certify(val, est, closed, cfg)
     return val
 
 
-class _Nested3Integrand:
-    """Outer integrand of the n=3 beta-like integral:
-    inner(t - t2) * |t2|^{beta2-1} sgn(t2)^{eta2}, with singular points at
-    t2 = 0 (exponent beta2) and t2 = t, where the inner integral behaves
-    like |t - t2|^{beta0+beta1-1} by homogeneity.  Implements the
-    SingularProduct evaluation protocol with exact offsets."""
+def _beta_like_n3(beta, eta, t: float, cfg: QuadratureConfig):
+    """The n=3 beta-like integral as the line integral over t2 of
+    |t2|^{beta2-1} sgn(t2)^{eta2} inner(t - t2), where inner(t') is the n=2
+    integral with singular points t' and 0, computed by quadrature at every
+    outer node: one batched call per evaluation of the outer phi, whose
+    estimates are carried through the outer weights.
 
-    def __init__(self, inner, t, beta2, eta2, b01):
-        self.inner = inner
-        self.t = float(t)
-        self.beta2 = complex(beta2)
-        self.eta2 = int(eta2) % 2
-        self.positions = [0.0, self.t]
-        self.exponents = [self.beta2.real, b01]
+    The outer pieces are those of the product with singular points 0
+    (exponent beta2) and t (exponent b = beta0 + beta1, as inner(t') is
+    homogeneous of degree b - 1): phi takes inner(t') |t'|^{1-b} in place
+    of that factor's |t'|^{b-1}.  At t' = 0 (the endpoint at t) and at
+    t' = +-inf (u = 0 on the tails) it takes the homogeneity limit
+    inner(sgn t'), with inner(+-1) again by quadrature."""
+    b = beta[0] + beta[1]
+    outer = SingularProduct([(0.0, beta[2], eta[2]), (t, b, 0)])
+    P = _line_pieces(outer)
+    step = 256  # inner integrals per batch, so that peak memory stays flat
 
-    def _factor(self, t2_dist: float) -> complex:
-        if t2_dist == 0:
-            return 0j
-        return _abs_pow(t2_dist, self.beta2 - 1) * _sgn_pow(t2_dist, self.eta2)
+    def inner(tp):
+        # inner(t') |t'|^{1-b} and its error bound; the absolute tolerance
+        # follows the scale |t'|^{Re b - 1} of inner(t'), or the outer tails,
+        # which sample |t'| over many decades, would see O(1) relative noise
+        val = np.empty(tp.size, complex)
+        err = np.empty(tp.size)
+        for i in range(0, tp.size, step):
+            x = tp[i : i + step]
+            scale = np.abs(x) ** (b.real - 1)
+            v, e = _product_line(
+                _betalike_product(beta[0], eta[0], beta[1], eta[1], x),
+                cfg.abs_tol / 100 * scale, cfg.rel_tol / 100, cfg.max_depth,
+            )
+            val[i : i + step] = v * np.exp((1 - b) * np.log(np.abs(x)))
+            err[i : i + step] = e / scale
+        return val, err
 
-    def eval_near(self, idx: int, h: float) -> complex:
-        if idx == 0:  # t2 = h
-            if h == 0 or self.t == h:
-                return 0j
-            return self._factor(h) * self.inner(self.t - h)
-        # t2 = t + h, so the inner variable is exactly -h
-        if h == 0:
-            return 0j
-        return self._factor(self.t + h) * self.inner(-h)
+    def phi(idx, h):
+        d = P.A[idx] + P.B[idx] * h[:, None]
+        v = P.c[idx] * _power_product(d, outer.betas, outer.etas)
+        # t' = t - x from exact offsets: x - t is d1 on the near pieces at 0,
+        # h d1 on those at t (d1 = +-1 there) and d1/u on the tails
+        d1 = d[:, 1]
+        with np.errstate(divide="ignore"):
+            x_t = np.select([P.tail[idx], P.anchor[idx] == 1], [d1 / h, d1 * h], d1)
+        g, ge = inner(np.where(np.isfinite(x_t) & (x_t != 0), -x_t, -np.sign(d1)))
+        return v * g, np.abs(v) * ge
 
-    def __call__(self, t2: float) -> complex:
-        if t2 == 0 or t2 == self.t:
-            return 0j
-        return self._factor(t2) * self.inner(self.t - t2)
+    val, est = graded_integrals(
+        phi, P.L, np.zeros(P.L.size), P.s, P.row, 1,
+        cfg.abs_tol / 3, cfg.rel_tol / 3, cfg.max_depth,
+    )
+    return complex(val[0]), float(est[0])
 
 
 def _certify(val: complex, est: float, closed: complex, cfg: QuadratureConfig):
@@ -548,8 +471,7 @@ def oscillatory_integral(
     cfg: QuadratureConfig = DEFAULT_QUAD,
 ) -> complex:
     """Regularized quadrature of int_R |x|^{nu-n/2} sgn(-x)^eps e(dk x) dx:
-    direct adaptive quadrature for |x| <= cutoff periods, integration by
-    parts beyond.  Certifies agreement with oscillatory_closed."""
+    graded panels for |x| <= cutoff periods, integration by parts beyond.  Certifies agreement with oscillatory_closed."""
     nu = complex(nu)
     w = nu - n / 2
     if not 0 < (w + 1).real < 1:
@@ -559,20 +481,25 @@ def oscillatory_integral(
     m = d * k
     X = cfg.oscillatory_cutoff / abs(m)
 
-    # |x|^w sgn(-x)^eps e(mx) = (-1)^eps |x|^w sgn(x)^eps e(mx)
-    sp = SingularProduct(
-        [(0.0, w + 1, epsilon)],
-        smooth=lambda x: cmath.exp(_TWO_PI_I * m * x),
-        const=(-1.0) ** (epsilon % 2),
-    )
-    v1, e1 = _piece_near(sp, 0, -1, X, cfg)
-    v2, e2 = _piece_near(sp, 0, 1, X, cfg)
     # tails: x > X contributes (-1)^eps int x^w e(mx); x < -X maps to
     # int_X^inf y^w e(-my) dy under y = -x (sgn(-x)^eps = +1 there).
     t1, r1 = _osc_tail(w, m, X)
     t2, r2 = _osc_tail(w, -m, X)
-    val = v1 + v2 + (-1) ** epsilon * t1 + t2
-    est = e1 + e2 + r1 + r2
+    tails = (-1) ** epsilon * t1 + t2
+    # near 0, x = dir*h: |x|^w sgn(-x)^eps e(mx) = c_dir h^w e(m dir h), with
+    # c_dir = (-1)^eps for dir = 1 and 1 for dir = -1
+    dirs = np.array([-1.0, 1.0])
+    c = np.array([1.0, (-1.0) ** (epsilon % 2)])
+
+    def phi(idx, h):
+        return c[idx] * np.exp(_TWO_PI_I * m * dirs[idx] * h), None
+
+    near, est = graded_integrals(
+        phi, np.full(2, X), np.zeros(2), np.full(2, w + 1), np.zeros(2, int), 1,
+        cfg.abs_tol, cfg.rel_tol, cfg.max_depth, base=tails,
+    )
+    val = complex(near[0]) + tails
+    est = float(est[0]) + r1 + r2
     closed = oscillatory_closed(nu, n, epsilon, d, k)
     _certify(val, est, closed, cfg)
     return val

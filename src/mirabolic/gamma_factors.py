@@ -324,7 +324,9 @@ def validate_generic_unitary(p: IsobaricSum, tol: float = 1e-9) -> list[str]:
 _BLOCK_RE = _re.compile(r"(triv|sgn|D(\d+))(?:\[([^\]]*)\])?")
 
 
-def _parse_shift(text: str, position: int) -> complex:
+def parse_complex(text: str, position: int | None = None) -> complex:
+    """A complex number written `re` or `re,im` (a CLI flag or a twist of
+    the rep grammar); ParseError, carrying position, when malformed."""
     parts = text.split(",")
     try:
         if len(parts) == 1:
@@ -333,7 +335,7 @@ def _parse_shift(text: str, position: int) -> complex:
             return complex(float(parts[0]), float(parts[1]))
     except ValueError:
         pass
-    raise ParseError(f"bad twist {text!r}", position=position)
+    raise ParseError(f"bad complex value {text!r} (expected re or re,im)", position)
 
 
 def parse_rep(text: str) -> IsobaricSum:
@@ -348,7 +350,7 @@ def parse_rep(text: str) -> IsobaricSum:
         m = _BLOCK_RE.fullmatch(body)
         if m is None:
             raise ParseError(f"bad block {body!r}", position=pos)
-        shift = _parse_shift(m.group(3), pos) if m.group(3) is not None else 0j
+        shift = parse_complex(m.group(3), pos) if m.group(3) is not None else 0j
         if m.group(2) is not None:
             k = int(m.group(2))
             if k < 1:

@@ -3,9 +3,14 @@
 main() is exercised in-process with capsys; fast suites only."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mirabolic
 from mirabolic import __version__
 from mirabolic.cli import EXIT_DOMAIN, EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 
@@ -137,6 +142,14 @@ def test_verify_betalike_suite(capsys):
         assert case["pass"] and case["rel_err"] is not None
 
 
+def test_verify_oscillatory_suite(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "oscillatory", "--tol", "1e-6")
+    assert code == EXIT_OK
+    (suite,) = json.loads(out)["result"]["suites"]
+    assert suite["pass"] is True
+    assert all(case["pass"] is True for case in suite["cases"])
+
+
 def test_verify_fail_exit_code(capsys):
     # an absurd tolerance cannot be met by the quadrature suites
     code, out, _ = run(
@@ -157,3 +170,19 @@ def test_verify_csv_fallback(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "key,value"
     assert any(line.startswith("pass,") for line in lines)
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # no quadrature route uses scipy.integrate, so a cold CLI start does not
+    # pay for importing it; the child imports the same mirabolic tree
+    env = dict(os.environ)
+    package_root = str(Path(mirabolic.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, os.environ.get("PYTHONPATH")) if p
+    )
+    code = "import sys, mirabolic.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 0, f"child interpreter failed:\n{out.stderr}"
+    assert out.stdout.strip() == "False"

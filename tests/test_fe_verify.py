@@ -24,6 +24,7 @@ from mirabolic.fe_verify import (
     Bump,
     QuadratureConfig,
     SingularProduct,
+    _beta_like_n3,
     beta_like_closed,
     beta_like_quadrature,
     default_config,
@@ -45,7 +46,7 @@ def test_config_validation_and_env(monkeypatch):
     with pytest.raises(ValueError):
         QuadratureConfig(abs_tol=-1.0)
     with pytest.raises(ValueError):
-        QuadratureConfig(singularity_substitution="nope")
+        QuadratureConfig(max_depth=0)
     monkeypatch.setenv("MIRABOLIC_PRECISION", "1e-6")
     cfg = default_config()
     assert cfg.rel_tol == 1e-6 and cfg.abs_tol == 1e-8
@@ -133,6 +134,71 @@ def test_beta_like_quadrature_n3_tail_underflow():
     except MirabolicError:
         return
     assert abs(v - closed) <= 10 * max(cfg.abs_tol, cfg.rel_tol * abs(closed))
+
+
+def _mp_G(s, delta):
+    # G_delta(s) = i^delta Gamma_R(s + delta) / Gamma_R(1 - s + delta), in mpmath
+    s, d = mp.mpc(s), delta % 2
+    return (
+        mp.mpc(0, 1) ** d
+        * mp.power(mp.pi, 0.5 - s)
+        * mp.gamma((s + d) / 2)
+        * mp.rgamma((1 - s + d) / 2)
+    )
+
+
+def _mp_beta_like(beta, eta, t):
+    num = mp.mpc(1)
+    for b, e in zip(beta, eta):
+        num *= _mp_G(b, e)
+    total_b, total_e = mp.mpc(sum(beta)), sum(eta) % 2
+    sign = -1 if total_e and t < 0 else 1
+    return complex(
+        num / _mp_G(total_b, total_e) * sign * mp.power(abs(mp.mpf(t)), total_b - 1)
+    )
+
+
+@pytest.mark.parametrize("t", [1e-7, -1e-7, 1e7, -1e7])
+def test_beta_like_n2_far_apart_singular_points(t):
+    # singular points at 0 and t, seven decades from unit distance, with
+    # complex exponents: the value misses the mpmath closed form by no more
+    # than its own error estimate plus the tolerance
+    beta, eta = [0.3 + 0.4j, 0.25 - 0.1j], [1, 0]
+    cfg = QuadratureConfig(abs_tol=1e-10, rel_tol=1e-8)
+    closed = _mp_beta_like(beta, eta, t)
+    tol = max(cfg.abs_tol, cfg.rel_tol * abs(closed))
+    sp = SingularProduct([(t, beta[0], eta[0]), (0.0, beta[1], eta[1])], const=-1.0)
+    val, est = integrate_product_line(sp, 0.55 - 2, cfg)
+    assert abs(val - closed) <= est + tol
+    assert beta_like_quadrature(beta, eta, t, cfg) == val
+
+
+def test_beta_like_n3_negative_t_complex_beta():
+    beta, eta, t = [0.25 + 0.2j, 0.3, 0.35], [1, 0, 1], -2.5
+    cfg = QuadratureConfig(abs_tol=1e-7, rel_tol=1e-4)
+    closed = _mp_beta_like(beta, eta, t)
+    tol = max(cfg.abs_tol, cfg.rel_tol * abs(closed))
+    val, est = _beta_like_n3(beta, eta, t, cfg)
+    assert abs(val - closed) <= est + tol
+    assert beta_like_quadrature(beta, eta, t, cfg) == val
+
+
+def test_h_integral_odd_epsilon():
+    # n = 2: H = int |1 + x|^{beta0-1} sgn(1 + x)^eps |x|^{beta1-1} sgn(x)^e1 dx
+    # with beta0 = nu, beta1 = 1/2 - lambda_1 - lambda_2 - nu/2,
+    # e1 = delta_1 + delta_2 + eta, equal to (-1)^e1 times the beta-like
+    # ratio at t = 1
+    lam, delta, nu, eps, eta = [0.1, -0.2, 0.15, -0.05], [1, 0, 1, 0], 0.35 + 0.25j, 1, 0
+    beta1, e1 = 0.5 - lam[1] - lam[2] - nu / 2, (delta[1] + delta[2] + eta) % 2
+    cfg = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-7)
+    closed = (-1) ** e1 * _mp_beta_like([nu, beta1], [eps, e1], 1.0)
+    tol = max(cfg.abs_tol, cfg.rel_tol * abs(closed))
+    closed_lib, quad = h_integral(lam, delta, nu, 2, eps, eta, cfg)
+    assert abs(closed_lib - closed) <= 1e-12 * abs(closed)
+    sp = SingularProduct([(-1.0, nu, eps), (0.0, beta1, e1)])
+    val, est = integrate_product_line(sp, (nu + beta1).real - 2, cfg)
+    assert quad == val
+    assert abs(val - closed) <= est + tol
 
 
 def test_beta_like_quadrature_region_checks():

@@ -1,23 +1,12 @@
-"""Kernel tests: the compiled extension must agree with the numpy reference,
-and the fallback switch must work."""
+"""Tests of the grid sums behind the brute-force coefficient oracle
+(eisenstein.grid_exp_sum and eisenstein.bf_weighted_sum) against direct
+summation."""
 
 import cmath
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-import mirabolic
-from mirabolic._kernels import IMPLEMENTATION, _ref, bf_weighted_sum, grid_exp_sum
-
-try:
-    from mirabolic._kernels import _fast
-except ImportError:
-    _fast = None
+from mirabolic.eisenstein import bf_weighted_sum, grid_exp_sum
 
 
 def brute_grid_exp_sum(d, r):
@@ -34,78 +23,16 @@ def brute_grid_exp_sum(d, r):
     [(1, (3,)), (4, (2,)), (5, (0, 0)), (6, (2, 3)), (7, (-1, 5)), (3, (1, 1, 1))],
 )
 def test_grid_exp_sum_against_brute_force(d, r):
-    assert abs(_ref.grid_exp_sum(d, r) - brute_grid_exp_sum(d, r)) < 1e-9 * d ** len(r)
+    assert abs(grid_exp_sum(d, r) - brute_grid_exp_sum(d, r)) < 1e-9 * d ** len(r)
 
 
 def test_grid_exp_sum_orthogonality():
     # the full-grid sum is d^m when d | every r_j, else 0
-    assert abs(_ref.grid_exp_sum(6, (6, 12)) - 36) < 1e-9
-    assert abs(_ref.grid_exp_sum(6, (6, 5))) < 1e-9
-
-
-@pytest.mark.skipif(_fast is None, reason="compiled extension not built")
-@settings(max_examples=80, deadline=None)
-@given(
-    st.integers(1, 20),
-    st.lists(st.integers(-40, 40), min_size=1, max_size=3),
-)
-def test_fast_matches_reference_grid(d, r):
-    a = _ref.grid_exp_sum(d, tuple(r))
-    b = _fast.grid_exp_sum(d, tuple(r))
-    assert abs(a - b) < 1e-9 * max(1.0, abs(a))
-
-
-@pytest.mark.skipif(_fast is None, reason="compiled extension not built")
-@settings(max_examples=40, deadline=None)
-@given(
-    st.integers(2, 4),
-    st.builds(complex, st.floats(0.2, 2.5), st.floats(-2, 2)),
-    st.lists(st.integers(-30, 30), min_size=1, max_size=3),
-    st.integers(1, 15),
-)
-def test_fast_matches_reference_weighted(n, nu, r, d_max):
-    psi = [1.0 if d % 3 else 0.0 for d in range(1, d_max + 1)]
-    a = _ref.bf_weighted_sum(n, nu, tuple(r), d_max, psi)
-    b = _fast.bf_weighted_sum(n, nu, tuple(r), d_max, psi)
-    assert abs(a - b) < 1e-9 * max(1.0, abs(a))
+    assert abs(grid_exp_sum(6, (6, 12)) - 36) < 1e-9
+    assert abs(grid_exp_sum(6, (6, 5))) < 1e-9
 
 
 def test_weighted_sum_skips_zero_weights():
     # only d=1 contributes when the character vanishes elsewhere
-    v = _ref.bf_weighted_sum(2, 1.0, (5,), 6, [1.0, 0, 0, 0, 0, 0])
+    v = bf_weighted_sum(2, 1.0, (5,), 6, [1.0, 0, 0, 0, 0, 0])
     assert abs(v - 1.0) < 1e-12
-
-
-def test_implementation_label_and_dispatch():
-    assert IMPLEMENTATION in ("reference", "cython")
-    if _fast is not None:
-        assert IMPLEMENTATION == "cython"
-        assert grid_exp_sum is _fast.grid_exp_sum
-        assert bf_weighted_sum is _fast.bf_weighted_sum
-    else:
-        assert grid_exp_sum is _ref.grid_exp_sum
-
-
-def _child_implementation(no_ext):
-    """IMPLEMENTATION as a fresh interpreter reports it, with the parent's
-    environment and the parent's mirabolic tree first on PYTHONPATH."""
-    env = dict(os.environ)
-    env.pop("MIRABOLIC_NO_EXT", None)
-    if no_ext:
-        env["MIRABOLIC_NO_EXT"] = "1"
-    package_root = str(Path(mirabolic.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (package_root, os.environ.get("PYTHONPATH")) if p
-    )
-    code = "from mirabolic._kernels import IMPLEMENTATION; print(IMPLEMENTATION)"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.returncode == 0, f"child interpreter failed:\n{out.stderr}"
-    return out.stdout.strip()
-
-
-def test_no_ext_env_forces_fallback():
-    # control: without the switch the child sees the parent's own build
-    assert _child_implementation(no_ext=False) == IMPLEMENTATION
-    assert _child_implementation(no_ext=True) == "reference"
