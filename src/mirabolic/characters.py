@@ -1,22 +1,28 @@
 """Exact arithmetic of Dirichlet characters mod N.
 
-Characters are stored as tables of rational exponents q with value e(q),
-e(z) = exp(2*pi*i*z).  All group-theoretic operations (multiplicativity,
-Fourier sums, conductor tests) are done on the exponents with Fraction
-arithmetic; conversion to complex happens only at the boundary.
+Every value of a character mod N is an L-th root of unity, where L is the
+exponent of the unit group (Z/N)* (the lcm of the orders of its cyclic
+factors).  A character is therefore stored as a row of integers k_a in
+[0, L), one per unit a, with psi(a) = e(k_a / L), e(z) = exp(2*pi*i*z).
+All characters mod N share one sorted unit list and one residue -> position
+index.  Group operations (inverse, parity, conductor tests, Fourier sums)
+are integer arithmetic on the rows mod L; conversion to complex happens
+only at the boundary, through one table of the L roots of unity.
 
 The enumeration is deterministic: the unit group (Z/N)* is decomposed into
 cyclic factors using the smallest primitive root for each odd prime power
-and the (-1, 5) generator pair for 2^k, k >= 3.
+and the (-1, 5) generator pair for 2^k, k >= 3.  The rows of all phi(N)
+characters come from one integer matrix product over the discrete logs.
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd, isqrt
+from functools import cached_property, lru_cache
+from math import gcd, isqrt, lcm
+
+import numpy as np
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -55,7 +61,6 @@ def _smallest_primitive_root(q: int) -> int:
     raise AssertionError(f"no primitive root mod {q}")
 
 
-@lru_cache(maxsize=None)
 def _unit_group_structure(n: int) -> tuple[tuple[int, int], ...]:
     """Cyclic decomposition of (Z/n)* as ((generator, order), ...).
 
@@ -90,109 +95,163 @@ def _unit_group_structure(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def e_of(q: Fraction | float) -> complex:
-    """e(q) = exp(2*pi*i*q)."""
-    return cmath.exp(2j * cmath.pi * float(q))
+class _UnitGroup:
+    """(Z/N)* with what all characters mod N share: the sorted units, the
+    residue -> position index, the group exponent L, and the discrete logs
+    of the units over the cyclic generators."""
+
+    def __init__(self, modulus: int):
+        structure = _unit_group_structure(modulus)
+        self.orders = np.array([s for _, s in structure], dtype=np.int64)
+        self.root_order = lcm(*(s for _, s in structure))
+        # logs[j] is the exponent vector of residues[j] = prod g_i^logs[j, i],
+        # in lexicographic order of the exponent vectors: the character order.
+        residues = np.array([1 % modulus], dtype=np.int64)
+        logs = np.zeros((1, 0), dtype=np.int64)
+        for g, s in structure:
+            powers = np.array([pow(g, k, modulus) for k in range(s)], dtype=np.int64)
+            residues = (residues[:, None] * powers % modulus).ravel()
+            logs = np.column_stack(
+                (np.repeat(logs, s, axis=0), np.tile(np.arange(s, dtype=np.int64), len(logs)))
+            )
+        by_residue = np.argsort(residues)
+        self.logs = logs
+        self.unit_logs = logs[by_residue]
+        self.unit_array = residues[by_residue]
+        self.units = tuple(self.unit_array.tolist())
+        self.position: list[int | None] = [None] * modulus
+        for i, a in enumerate(self.units):
+            self.position[a] = i
+
+    @cached_property
+    def roots(self) -> list[complex]:
+        """roots[k] = e(k/L), bit for bit the value e(q) of the reduced q = k/L."""
+        L = self.root_order
+        return [cmath.exp(2j * cmath.pi * (k / L)) for k in range(L)]
+
+    @cached_property
+    def unit_labels(self) -> list[str]:
+        return [str(a) for a in self.units]
+
+    @cached_property
+    def exponent_labels(self) -> list[str]:
+        """exponent_labels[k] = str(Fraction(k, L))."""
+        L = self.root_order
+        return [str(Fraction(k, L)) for k in range(L)]
+
+
+@lru_cache(maxsize=64)
+def _unit_group(modulus: int) -> _UnitGroup:
+    return _UnitGroup(modulus)
 
 
 class DirichletCharacter:
-    """A Dirichlet character mod N with exact root-of-unity values.
+    """A Dirichlet character mod N as a row of exact integer exponents.
 
-    ``exponents`` maps each unit residue a to the Fraction q in [0,1) with
-    psi(a) = e(q).  Non-units are not in the table; psi(a) = 0 there.
+    ``row[i]`` is the integer k in [0, L) with psi(units[i]) = e(k / L),
+    where ``units`` is the sorted list of unit residues mod N (residue 0
+    stands for 1 when N = 1) and L = ``root_order`` is the exponent of
+    (Z/N)*.  Non-units have no entry; psi(a) = 0 there.
     """
 
-    __slots__ = ("modulus", "exponents", "_key")
+    __slots__ = ("modulus", "row", "_group")
 
-    def __init__(self, modulus: int, exponents: dict[int, Fraction]):
+    def __init__(self, modulus: int, row: tuple[int, ...]):
+        self._group = _unit_group(modulus)
+        if len(row) != len(self._group.units):
+            raise ValueError(f"a character mod {modulus} has {len(self._group.units)} exponents")
         self.modulus = modulus
-        self.exponents = exponents
-        self._key = (modulus, tuple(sorted(exponents.items())))
+        self.row = tuple(row)
 
     def __repr__(self):
         return f"DirichletCharacter(modulus={self.modulus}, principal={self.is_principal})"
 
     def __hash__(self):
-        return hash(self._key)
+        return hash((self.modulus, self.row))
 
     def __eq__(self, other):
-        return isinstance(other, DirichletCharacter) and self._key == other._key
+        return (
+            isinstance(other, DirichletCharacter)
+            and self.modulus == other.modulus
+            and self.row == other.row
+        )
+
+    @property
+    def units(self) -> tuple[int, ...]:
+        """The unit residues mod N in ascending order, shared by all
+        characters mod N."""
+        return self._group.units
+
+    @property
+    def root_order(self) -> int:
+        """L, the exponent of (Z/N)*: every value of psi is an L-th root of 1."""
+        return self._group.root_order
+
+    @property
+    def exponents(self) -> dict[int, Fraction]:
+        """Each unit residue a mapped to the Fraction q in [0,1) with
+        psi(a) = e(q), built from the row on each access."""
+        L = self._group.root_order
+        return {a: Fraction(k, L) for a, k in zip(self._group.units, self.row)}
 
     def exponent(self, a: int) -> Fraction | None:
         """Exact exponent q with psi(a) = e(q), or None when gcd(a, N) > 1."""
-        return self.exponents.get(a % self.modulus)
+        i = self._group.position[a % self.modulus]
+        return None if i is None else Fraction(self.row[i], self._group.root_order)
 
     def __call__(self, a: int) -> complex:
-        q = self.exponent(a)
-        if q is None:
+        i = self._group.position[a % self.modulus]
+        if i is None:
             return 0j
-        return e_of(q)
+        return self._group.roots[self.row[i]]
 
     @property
     def is_principal(self) -> bool:
-        return all(q == 0 for q in self.exponents.values())
+        return not any(self.row)
 
     @property
     def parity(self) -> int:
         """epsilon in {0,1} with psi(-1) = (-1)^epsilon."""
-        q = self.exponents.get((-1) % self.modulus, Fraction(0))
-        return 0 if q == 0 else 1
+        return int(self.row[self._group.position[-1 % self.modulus]] != 0)
 
     def inverse(self) -> "DirichletCharacter":
         """The character psi^{-1} = conjugate of psi."""
-        return DirichletCharacter(
-            self.modulus,
-            {a: (-q) % 1 for a, q in self.exponents.items()},
-        )
+        L = self._group.root_order
+        return DirichletCharacter(self.modulus, tuple(-k % L for k in self.row))
 
     def to_record(self) -> dict:
         """JSON-ready record: modulus, exponent table, parity."""
+        labels = self._group.exponent_labels
         return {
             "modulus": self.modulus,
-            "exponents": {str(a): str(q) for a, q in sorted(self.exponents.items())},
+            "exponents": {a: labels[k] for a, k in zip(self._group.unit_labels, self.row)},
             "parity": self.parity,
         }
 
 
 def enumerate_characters(N: int) -> list[DirichletCharacter]:
-    """All phi(N) characters mod N, principal first, in a fixed order."""
+    """All phi(N) characters mod N, principal first, in a fixed order.
+
+    With generators g_i of orders s_i, the character with exponent vector k
+    takes the unit prod g_i^l_i to e(sum_i k_i l_i / s_i); over the common
+    denominator L that is one integer matrix product for all characters.
+    """
     if N < 1:
         raise ValueError("modulus must be positive")
-    if N == 1:
-        return [DirichletCharacter(1, {0: Fraction(0)})]
-    structure = _unit_group_structure(N)
-    gens = [g for g, _ in structure]
-    orders = [s for _, s in structure]
-
-    # Discrete-log table: unit residue -> exponent tuple over the generators.
-    logs: dict[int, tuple[int, ...]] = {}
-    for ks in itertools.product(*(range(s) for s in orders)):
-        a = 1
-        for g, k, s in zip(gens, ks, orders):
-            a = a * pow(g, k, N) % N
-        logs[a] = ks
-    assert len(logs) == euler_phi(N)
-
-    chars = []
-    for ks in itertools.product(*(range(s) for s in orders)):
-        table = {}
-        for a, ls in logs.items():
-            q = sum(
-                (Fraction(k * l, s) for k, l, s in zip(ks, ls, orders)),
-                Fraction(0),
-            )
-            table[a] = q % 1
-        chars.append(DirichletCharacter(N, table))
-    return chars
+    group = _unit_group(N)
+    L = group.root_order
+    rows = (group.logs * (L // group.orders)) @ group.unit_logs.T % L
+    return [DirichletCharacter(N, tuple(row)) for row in rows.tolist()]
 
 
 def finite_fourier(psi: DirichletCharacter, m: int) -> complex:
-    """psi-hat(m) = sum_{a mod N} psi(a) e(a*m/N), exact exponent arithmetic."""
-    N = psi.modulus
-    total = 0j
-    for a, q in psi.exponents.items():
-        total += e_of((q + Fraction(a * m, N)) % 1)
-    return total
+    """psi-hat(m) = sum_{a mod N} psi(a) e(a*m/N); each term's exponent is
+    reduced exactly, as an integer mod lcm(L, N), before it is exponentiated."""
+    N, L = psi.modulus, psi.root_order
+    M = lcm(L, N)
+    k = np.array(psi.row, dtype=np.int64) * (M // L)
+    k += psi._group.unit_array * (m % N) % N * (M // N)
+    return complex(np.exp(2j * np.pi * ((k % M) / M)).sum())
 
 
 def gauss_sum(psi: DirichletCharacter) -> complex:
@@ -208,14 +267,12 @@ def divisors(n: int) -> list[int]:
 
 
 def conductor(psi: DirichletCharacter) -> int:
-    """Smallest f | N such that psi factors through (Z/f)*."""
-    N = psi.modulus
+    """Smallest f | N such that psi factors through (Z/f)*, i.e. psi is
+    trivial on the units congruent to 1 mod f."""
+    N, row, position = psi.modulus, psi.row, psi._group.position
     for f in divisors(N):
-        if all(
-            psi.exponents[a % N] == 0
-            for a in range(1, N + 1, f)
-            if gcd(a, N) == 1
-        ):
+        kernel = (position[a] for a in range(1 % f, N, f))
+        if not any(row[i] for i in kernel if i is not None):
             return f
     return N
 

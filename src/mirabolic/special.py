@@ -4,6 +4,9 @@ G_delta, Hurwitz zeta and Dirichlet L-functions with analytic continuation.
 Everything Gamma-like is computed in log space (scipy's complex loggamma,
 which tracks the branch continuously) and exponentiated at the boundary, so
 ratios like G_delta stay finite where the naive quotient would overflow.
+scipy.special is imported by its three callers (gamma_complex, log_gamma and
+L(1, psi) through digamma) on first use, so importing this module, and the
+CLI commands that need no Gamma value, do not load scipy.
 
 Hurwitz zeta uses Euler-Maclaurin with a configurable truncation point and
 Bernoulli depth; Dirichlet L-functions are assembled from it as
@@ -17,11 +20,9 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, pi
+from math import pi
 
-import scipy.special as sp
-
-from .characters import DirichletCharacter
+from .characters import DirichletCharacter, euler_phi
 from .errors import NotPrincipalError, PoleError
 
 _POLE_TOL = 1e-12
@@ -67,6 +68,8 @@ def _check_finite(value: complex, what: str) -> complex:
 
 def gamma_complex(s: complex) -> complex:
     """Gamma(s); raises PoleError at nonpositive integers."""
+    import scipy.special as sp
+
     s = complex(s)
     if _is_nonpositive_integer(s):
         raise PoleError(f"Gamma pole at s={s}")
@@ -74,6 +77,8 @@ def gamma_complex(s: complex) -> complex:
 
 
 def log_gamma(s: complex) -> complex:
+    import scipy.special as sp
+
     s = complex(s)
     if _is_nonpositive_integer(s):
         raise PoleError(f"Gamma pole at s={s}")
@@ -203,7 +208,7 @@ def dirichlet_L(
         # unnecessary because the combination below is formed termwise.
         return _dirichlet_L_at_1(psi, config)
     total = 0j
-    for a in sorted(psi.exponents):
+    for a in psi.units:
         aa = a if a != 0 else N  # modulus 1 stores residue 0
         total += psi(a) * hurwitz_zeta(s, aa / N, config)
     return cmath.exp(-s * cmath.log(N)) * total
@@ -213,9 +218,11 @@ def _dirichlet_L_at_1(psi: DirichletCharacter, config: PrecisionConfig) -> compl
     # The simple poles of zeta(s, a/N) cancel for nonprincipal psi; take the
     # finite parts: zeta(s,a) = 1/(s-1) - psi0(a) + O(s-1) with digamma.
     # Use the digamma formula L(1,psi) = -(1/N) sum psi(a) digamma(a/N).
+    import scipy.special as sp
+
     N = psi.modulus
     total = 0j
-    for a in sorted(psi.exponents):
+    for a in psi.units:
         total += psi(a) * complex(sp.digamma(a / N))
     return -total / N
 
@@ -224,6 +231,4 @@ def residue_L_at_1(psi: DirichletCharacter) -> float:
     """Residue of L(s, psi) at s=1 for principal psi: phi(N)/N."""
     if not psi.is_principal:
         raise NotPrincipalError("residue defined only for principal characters")
-    N = psi.modulus
-    num = sum(1 for a in range(1, N + 1) if gcd(a, N) == 1)
-    return num / N if N > 1 else 1.0
+    return euler_phi(psi.modulus) / psi.modulus

@@ -1,7 +1,10 @@
 """Character table, Gauss sum, and conductor tests against independent
-oracles (direct definitions computed with complex arithmetic)."""
+oracles (direct definitions computed with complex arithmetic, and the
+Fraction-exponent enumeration the integer rows replaced)."""
 
 import cmath
+import itertools
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -15,6 +18,8 @@ from mirabolic.characters import (
     euler_phi,
     finite_fourier,
     gauss_sum,
+    _unit_group_structure,
+    divisors,
     is_primitive,
 )
 
@@ -127,3 +132,129 @@ def test_character_orthogonality_rows(N):
             s = sum(psi(a) * xi(a).conjugate() for a in range(1, N + 1))
             expected = phi if psi == xi else 0.0
             assert abs(s - expected) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Oracle: characters as dicts of Fraction exponents, enumerated by summing
+# Fractions for every (character, unit) pair, and every operation written
+# on those dicts.
+
+
+def e_of(q):
+    return cmath.exp(2j * cmath.pi * float(q))
+
+
+class FractionCharacter:
+    def __init__(self, modulus, exponents):
+        self.modulus = modulus
+        self.exponents = exponents
+        self.key = (modulus, tuple(sorted(exponents.items())))
+
+    def __hash__(self):
+        return hash(self.key)
+
+    def __eq__(self, other):
+        return self.key == other.key
+
+    def __call__(self, a):
+        q = self.exponents.get(a % self.modulus)
+        return 0j if q is None else e_of(q)
+
+    @property
+    def is_principal(self):
+        return all(q == 0 for q in self.exponents.values())
+
+    @property
+    def parity(self):
+        return 0 if self.exponents[-1 % self.modulus] == 0 else 1
+
+    def inverse(self):
+        return FractionCharacter(self.modulus, {a: -q % 1 for a, q in self.exponents.items()})
+
+    def to_record(self):
+        return {
+            "modulus": self.modulus,
+            "exponents": {str(a): str(q) for a, q in sorted(self.exponents.items())},
+            "parity": self.parity,
+        }
+
+    def conductor(self):
+        N = self.modulus
+        for f in divisors(N):
+            if all(self.exponents[a % N] == 0 for a in range(1, N + 1, f) if gcd(a, N) == 1):
+                return f
+
+    def finite_fourier(self, m):
+        N = self.modulus
+        return sum(e_of((q + Fraction(a * m, N)) % 1) for a, q in self.exponents.items())
+
+
+def fraction_characters(N):
+    if N == 1:
+        return [FractionCharacter(1, {0: Fraction(0)})]
+    structure = _unit_group_structure(N)
+    gens = [g for g, _ in structure]
+    orders = [s for _, s in structure]
+    logs = {}
+    for ls in itertools.product(*(range(s) for s in orders)):
+        a = 1
+        for g, l in zip(gens, ls):
+            a = a * pow(g, l, N) % N
+        logs[a] = ls
+    return [
+        FractionCharacter(N, {
+            a: sum((Fraction(k * l, s) for k, l, s in zip(ks, ls, orders)), Fraction(0)) % 1
+            for a, ls in logs.items()
+        })
+        for ks in itertools.product(*(range(s) for s in orders))
+    ]
+
+
+# 2^k with k >= 3 (the (-1, 5) generator pair), an odd prime power, and
+# products of several cyclic factors
+ORACLE_MODULI = [1, 2, 4, 8, 9, 16, 15, 40, 60, 120, 210, 240]
+
+
+@pytest.fixture(scope="module")
+def both_tables():
+    return {N: (enumerate_characters(N), fraction_characters(N)) for N in ORACLE_MODULI}
+
+
+@pytest.mark.parametrize("N", ORACLE_MODULI)
+def test_integer_rows_match_fraction_oracle(N, both_tables):
+    chars, oracle = both_tables[N]
+    assert len(chars) == len(oracle)
+    for psi, ref in zip(chars, oracle):
+        assert psi.exponents == ref.exponents
+        assert all(isinstance(q, Fraction) for q in psi.exponents.values())
+        assert all(psi.exponent(a) == ref.exponents.get(a % N) for a in range(-N, 2 * N))
+        assert psi.to_record() == ref.to_record()
+        assert psi.inverse().exponents == ref.inverse().exponents
+        assert psi.parity == ref.parity
+        assert psi.is_principal == ref.is_principal
+        assert conductor(psi) == ref.conductor()
+        for a in range(-N, 2 * N):
+            got, want = psi(a), ref(a)
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
+def test_integer_rows_hash_eq_classes_match_fraction_oracle(both_tables):
+    chars = [psi for N in ORACLE_MODULI for psi in both_tables[N][0]]
+    oracle = [ref for N in ORACLE_MODULI for ref in both_tables[N][1]]
+    inverses = [psi.inverse() for psi in chars]
+    ref_inverses = [ref.inverse() for ref in oracle]
+    for i, (psi, ref) in enumerate(zip(chars, oracle)):
+        for xi, xref in zip(chars[i:] + inverses, oracle[i:] + ref_inverses):
+            assert (psi == xi) == (ref == xref)
+            if psi == xi:
+                assert hash(psi) == hash(xi)
+
+
+@pytest.mark.parametrize("N", ORACLE_MODULI)
+def test_fourier_sums_match_fraction_oracle(N, both_tables):
+    chars, oracle = both_tables[N]
+    ms = sorted({-N - 1, -1, 0, 1, 2, 3, N // 2, N - 1, N, 5 * N + 7})
+    for psi, ref in zip(chars, oracle):
+        assert abs(gauss_sum(psi) - ref.finite_fourier(1)) <= 1e-12 * N
+        for m in ms:
+            assert abs(finite_fourier(psi, m) - ref.finite_fourier(m)) <= 1e-12 * N

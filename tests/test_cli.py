@@ -172,17 +172,44 @@ def test_verify_csv_fallback(capsys):
     assert any(line.startswith("pass,") for line in lines)
 
 
-def test_cli_import_leaves_out_scipy_integrate():
-    # no quadrature route uses scipy.integrate, so a cold CLI start does not
-    # pay for importing it; the child imports the same mirabolic tree
+def child_env():
+    """The environment for a child interpreter that imports the same
+    mirabolic tree as this test run."""
     env = dict(os.environ)
     package_root = str(Path(mirabolic.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (package_root, os.environ.get("PYTHONPATH")) if p
     )
-    code = "import sys, mirabolic.cli; print('scipy.integrate' in sys.modules)"
+    return env
+
+
+@pytest.mark.parametrize("module", ["scipy.integrate", "scipy.special"])
+def test_cli_import_leaves_out_scipy_module(module):
+    # no quadrature route uses scipy.integrate, and scipy.special is imported
+    # by the Gamma/digamma paths on first use, so a cold CLI start pays for
+    # neither
+    code = f"import sys, mirabolic.cli; print({module!r} in sys.modules)"
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True
     )
     assert out.returncode == 0, f"child interpreter failed:\n{out.stderr}"
     assert out.stdout.strip() == "False"
+
+
+def test_chars_command_runs_without_scipy():
+    # -X importtime logs every module the run imports, one per stderr line
+    argv = ["chars", "--modulus", "12", "--index", "1", "--gauss", "--conductor", "--fft", "5"]
+    out = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "mirabolic.cli", *argv],
+        env=child_env(), capture_output=True, text=True,
+    )
+    assert out.returncode == EXIT_OK, f"child CLI failed:\n{out.stderr}"
+    imported = [
+        line.rsplit("|", 1)[-1].strip()
+        for line in out.stderr.splitlines()
+        if line.startswith("import time:")
+    ]
+    assert "mirabolic.characters" in imported
+    assert not [m for m in imported if m == "scipy" or m.startswith("scipy.")]
+    result = json.loads(out.stdout)["result"]
+    assert result["conductor"] == 3 and "gauss_sum" in result and "fft" in result
