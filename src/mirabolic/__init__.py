@@ -40,6 +40,7 @@ from .errors import (
     PoleError,
     StripError,
     ToleranceNotMetError,
+    ValueOverflowError,
     ZeroComponentError,
     ZeroEntryError,
 )
@@ -87,7 +88,6 @@ from .principal_series import (
 )
 from .special import (
     G_delta,
-    PrecisionConfig,
     dirichlet_L,
     gamma_C,
     gamma_R,

@@ -8,7 +8,6 @@ import argparse
 import io
 import json
 import sys
-from dataclasses import replace
 
 from . import __version__, characters, eisenstein, fe_verify, gamma_factors
 from .errors import MirabolicError, ParseError, ToleranceNotMetError
@@ -24,16 +23,13 @@ def _c(z: complex) -> dict:
     return {"re": z.real, "im": z.imag}
 
 
-def _envelope(command: str, inputs: dict, result, precision=None) -> dict:
-    env = {
+def _envelope(command: str, inputs: dict, result) -> dict:
+    return {
         "version": __version__,
         "command": command,
         "inputs": inputs,
         "result": result,
     }
-    if precision is not None:
-        env["precision"] = precision
-    return env
 
 
 def _emit(env: dict, fmt: str) -> str:
@@ -248,7 +244,9 @@ def _suite_betalike(tol: float, cfg) -> list[dict]:
     beta3, eta3 = (0.2, 0.3, 0.3), (0, 0, 0)
     closed = fe_verify.beta_like_closed(beta3, eta3, 1.0)
     # the n=3 nested quadrature is certified at 1e-4; requesting more is slow
-    cfg3 = replace(cfg, abs_tol=max(cfg.abs_tol, 1e-6), rel_tol=max(cfg.rel_tol, 1e-4))
+    cfg3 = fe_verify.QuadratureConfig(
+        abs_tol=max(cfg.abs_tol, 1e-6), rel_tol=max(cfg.rel_tol, 1e-4)
+    )
     try:
         quad = fe_verify.beta_like_quadrature(beta3, eta3, 1.0, cfg3)
     except ToleranceNotMetError as exc:
@@ -337,9 +335,7 @@ def _suite_intertwine(tol: float, cfg) -> list[dict]:
     cases = []
     f1 = fe_verify.Bump(0.0, 1.0)
     f2 = fe_verify.Bump(0.3, 0.7)
-    probe_cfg = fe_verify.QuadratureConfig(
-        abs_tol=1e-8, rel_tol=1e-6, max_depth=cfg.max_depth
-    )
+    probe_cfg = fe_verify.QuadratureConfig(abs_tol=1e-8, rel_tol=1e-6)
     xs = [-0.2, 0.1]
     for nu in (0.6, 0.8 + 0.5j):
         ratios = []
@@ -386,8 +382,10 @@ _SUITES = {
 
 def cmd_verify(args) -> tuple[dict, bool]:
     tol = args.tol
-    base = fe_verify.default_config()
-    cfg = replace(base, abs_tol=min(base.abs_tol, tol / 10), rel_tol=min(base.rel_tol, tol))
+    base = fe_verify.DEFAULT_QUAD
+    cfg = fe_verify.QuadratureConfig(
+        abs_tol=min(base.abs_tol, tol / 10), rel_tol=min(base.rel_tol, tol)
+    )
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     suites = []
     all_pass = True

@@ -27,13 +27,7 @@ import numpy as np
 
 from .characters import DirichletCharacter, divisors, euler_phi, finite_fourier
 from .errors import ConvergenceRegionError, PoleError
-from .special import (
-    DEFAULT_PRECISION,
-    PrecisionConfig,
-    dirichlet_L,
-    residue_L_at_1,
-    riemann_zeta,
-)
+from .special import dirichlet_L, residue_L_at_1, riemann_zeta
 
 
 @dataclass(frozen=True)
@@ -83,9 +77,7 @@ def _cpow(d: int, z: complex) -> complex:
     return cmath.exp(z * cmath.log(d))
 
 
-def coeff_big_cell(
-    params: EisParams, r, config: PrecisionConfig = DEFAULT_PRECISION
-) -> complex:
+def coeff_big_cell(params: EisParams, r) -> complex:
     """Big-cell Fourier coefficient a_r; r has length n-1."""
     r = tuple(int(x) for x in r)
     _check_length(params, r)
@@ -98,16 +90,14 @@ def coeff_big_cell(
             return 0j  # psihat(0) = 0
         if abs(nu - n / 2) < 1e-12:
             raise PoleError("a_0 pole at nu = n/2 for principal psi")
-        return pref * euler_phi(N) * riemann_zeta(nu - n / 2 + 1, config)
+        return pref * euler_phi(N) * riemann_zeta(nu - n / 2 + 1)
     total = 0j
     for d in divisors(g):
         total += _cpow(d, -nu + n / 2 - 1) * finite_fourier(psi, -r[0] // d)
     return pref * total
 
 
-def coeff_wlong_cell(
-    params: EisParams, r, config: PrecisionConfig = DEFAULT_PRECISION
-) -> complex:
+def coeff_wlong_cell(params: EisParams, r) -> complex:
     """Long-Weyl-cell Fourier coefficient c_r; r has length n-1."""
     r = tuple(int(x) for x in r)
     _check_length(params, r)
@@ -116,7 +106,7 @@ def coeff_wlong_cell(
     pref = float(N) ** (1 - n)
     g = _gcd_vec(r)
     if g == 0:
-        return pref * dirichlet_L(nu - n / 2 + 1, psi, config)
+        return pref * dirichlet_L(nu - n / 2 + 1, psi)
     total = 0j
     for d in divisors(g):
         total += psi(d) * _cpow(d, -nu + n / 2 - 1)

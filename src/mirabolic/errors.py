@@ -14,6 +14,11 @@ class PoleError(MirabolicError):
     a denominator factor."""
 
 
+class ValueOverflowError(MirabolicError, OverflowError):
+    """A finite result too large for a double: exp of a log-space value
+    whose real part exceeds the float range."""
+
+
 class NotPrincipalError(MirabolicError):
     """Operation defined only for principal characters."""
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -46,40 +45,25 @@ from .panels import graded_integrals
 from .special import G_delta, G_delta_is_zero
 
 _TWO_PI_I = 2j * math.pi
+_MAX_PANELS = 200  # Gauss-Kronrod panels per piece of the graded rule
+_OSC_CUTOFF = 10.0  # periods integrated directly before the by-parts tail
+# the n=2 composition: finite part over |z + x| < _WINDOW, direct quadrature
+# out to |z| = _FAR, the asymptote of g beyond
+_WINDOW = 1.0
+_FAR = 60.0
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Tolerances for the quadrature oracles, which all run on the graded
-    Gauss-Kronrod rule of mirabolic.panels.
-
-    max_depth: Gauss-Kronrod panels per piece of that rule.
-    oscillatory_cutoff: number of periods integrated directly before
-        switching to the integrated-by-parts asymptotic tail.
-    """
+    Gauss-Kronrod rule of mirabolic.panels."""
 
     abs_tol: float = 1e-9
     rel_tol: float = 1e-7
-    max_depth: int = 200
-    oscillatory_cutoff: float = 10.0
 
     def __post_init__(self):
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if not 1 <= self.max_depth <= 10_000:
-            raise ValueError("max_depth out of range")
-        if self.oscillatory_cutoff <= 0:
-            raise ValueError("oscillatory_cutoff must be positive")
-
-
-def default_config() -> QuadratureConfig:
-    """Default config; MIRABOLIC_PRECISION overrides the relative tolerance
-    (absolute tolerance is set two orders tighter)."""
-    env = os.environ.get("MIRABOLIC_PRECISION")
-    if env:
-        rel = float(env)
-        return QuadratureConfig(abs_tol=rel / 100, rel_tol=rel)
-    return QuadratureConfig()
 
 
 DEFAULT_QUAD = QuadratureConfig()
@@ -118,10 +102,11 @@ class SingularProduct:
 
     The positions may be arrays of one shape: a batch of products that share
     their exponents, one product per position.  The point of the class
-    (rather than a closure) is exact-offset evaluation: near a singular point
-    the caller supplies the signed distance h directly, so |x - pos_i| = |h|
-    is computed without the catastrophic cancellation of reconstructing it
-    from x = pos_i + h, and the other factors get (pos_i - pos_j) + h.
+    (rather than a closure) is exact-offset evaluation: _line_pieces cuts
+    the line at the singular points and evaluates each piece at the signed
+    distance h from its point, so |x - pos_i| = |h| is computed without the
+    catastrophic cancellation of reconstructing it from x = pos_i + h, and
+    the other factors get (pos_i - pos_j) + h.
     """
 
     def __init__(self, terms, const: complex = 1.0):
@@ -131,16 +116,6 @@ class SingularProduct:
         self.betas = np.array(beta, dtype=complex)
         self.etas = np.array(eta, dtype=int) % 2
         self.const = complex(const)
-
-    def eval_near(self, idx: int, h):
-        """The product at x = pos_idx + h, h a float or an array; 0 where
-        some factor's distance is 0."""
-        h = np.asarray(h, dtype=float)
-        d = (self.positions[..., idx, None] - self.positions) + h[..., None]
-        zero = (d == 0).any(axis=-1)
-        d = np.where(zero[..., None], 1.0, d)
-        val = np.where(zero, 0j, self.const * _power_product(d, self.betas, self.etas))
-        return val if val.ndim else complex(val)
 
 
 class _Pieces(NamedTuple):
@@ -195,7 +170,7 @@ def _line_pieces(sp: SingularProduct) -> _Pieces:
     )
 
 
-def _product_line(sp: SingularProduct, abs_tol, rel_tol, max_panels):
+def _product_line(sp: SingularProduct, abs_tol, rel_tol):
     """Line integrals of every product of sp and their error estimates, as
     arrays; abs_tol may be one value per product."""
     P = _line_pieces(sp)
@@ -206,7 +181,7 @@ def _product_line(sp: SingularProduct, abs_tol, rel_tol, max_panels):
 
     return graded_integrals(
         phi, P.L, np.zeros(P.L.size), P.s, P.row, P.row[-1] + 1,
-        abs_tol, rel_tol, max_panels,
+        abs_tol, rel_tol, _MAX_PANELS,
     )
 
 
@@ -218,7 +193,7 @@ def integrate_product_line(sp, tail_exp: float, cfg: QuadratureConfig):
     be < -1.  Returns (value, error_estimate), arrays for a batch."""
     if tail_exp >= -1:
         raise ConvergenceRegionError("integrand does not decay at infinity")
-    val, est = _product_line(sp, cfg.abs_tol, cfg.rel_tol, cfg.max_depth)
+    val, est = _product_line(sp, cfg.abs_tol, cfg.rel_tol)
     if sp.positions.ndim == 1:
         return complex(val[0]), float(est[0])
     return val, est
@@ -382,7 +357,7 @@ def _beta_like_n3(beta, eta, t: float, cfg: QuadratureConfig):
             scale = np.abs(x) ** (b.real - 1)
             v, e = _product_line(
                 _betalike_product(beta[0], eta[0], beta[1], eta[1], x),
-                cfg.abs_tol / 100 * scale, cfg.rel_tol / 100, cfg.max_depth,
+                cfg.abs_tol / 100 * scale, cfg.rel_tol / 100,
             )
             val[i : i + step] = v * np.exp((1 - b) * np.log(np.abs(x)))
             err[i : i + step] = e / scale
@@ -401,12 +376,20 @@ def _beta_like_n3(beta, eta, t: float, cfg: QuadratureConfig):
 
     val, est = graded_integrals(
         phi, P.L, np.zeros(P.L.size), P.s, P.row, 1,
-        cfg.abs_tol / 3, cfg.rel_tol / 3, cfg.max_depth,
+        cfg.abs_tol / 3, cfg.rel_tol / 3, _MAX_PANELS,
     )
     return complex(val[0]), float(est[0])
 
 
 def _certify(val: complex, est: float, closed: complex, cfg: QuadratureConfig):
+    """Check the quadrature value val, with error estimate est, against its
+    closed form, with tol = max(abs_tol, rel_tol |closed|).
+
+    The policy: accept when |val - closed| <= tol.  Past that, accept a
+    difference of up to 10 tol when the estimate meets tol, a slack for an
+    estimate that undercounts the error by up to that factor.  Raise
+    ToleranceNotMetError when the estimate exceeds tol (achieved = est) or
+    the difference exceeds 10 tol (achieved = the difference)."""
     tol = max(cfg.abs_tol, cfg.rel_tol * abs(closed))
     diff = abs(val - closed)
     if diff <= tol:
@@ -479,7 +462,7 @@ def oscillatory_integral(
     if d <= 0 or k == 0:
         raise ValueError("need d > 0 and k != 0")
     m = d * k
-    X = cfg.oscillatory_cutoff / abs(m)
+    X = _OSC_CUTOFF / abs(m)
 
     # tails: x > X contributes (-1)^eps int x^w e(mx); x < -X maps to
     # int_X^inf y^w e(-my) dy under y = -x (sgn(-x)^eps = +1 there).
@@ -496,7 +479,7 @@ def oscillatory_integral(
 
     near, est = graded_integrals(
         phi, np.full(2, X), np.zeros(2), np.full(2, w + 1), np.zeros(2, int), 1,
-        cfg.abs_tol, cfg.rel_tol, cfg.max_depth, base=tails,
+        cfg.abs_tol, cfg.rel_tol, _MAX_PANELS, base=tails,
     )
     val = complex(near[0]) + tails
     est = float(est[0]) + r1 + r2
@@ -616,7 +599,7 @@ def _apply_pieces(y, a: float, b: float, epsilon: int):
     )
 
 
-def _apply_batch(fs, nu, epsilon, y, which, a, b, abs_tol, rel_tol, max_panels):
+def _apply_batch(fs, nu, epsilon, y, which, a, b, abs_tol, rel_tol):
     """(I_nu fs[which_i])(y_i) and error estimates for arrays y, which:
     each y_i is one group of the graded rule, evaluated in slices so that
     peak memory stays flat."""
@@ -639,9 +622,17 @@ def _apply_batch(fs, nu, epsilon, y, which, a, b, abs_tol, rel_tol, max_panels):
 
         s = np.full(L.size, nu)
         val[i : i + step], err[i : i + step] = graded_integrals(
-            phi, L, d0, s, owner, ys.size, abs_tol, rel_tol, max_panels
+            phi, L, d0, s, owner, ys.size, abs_tol, rel_tol, _MAX_PANELS
         )
     return val, err
+
+
+def _support(f) -> tuple[float, float]:
+    """The interval (a, b) outside which the test function f vanishes."""
+    support = getattr(f, "support", None)
+    if support is None:
+        raise ValueError("f must provide a .support (a, b) outside which it vanishes")
+    return float(support[0]), float(support[1])
 
 
 def intertwine_apply_n2(
@@ -650,22 +641,18 @@ def intertwine_apply_n2(
     epsilon: int,
     y_grid,
     cfg: QuadratureConfig = DEFAULT_QUAD,
-    support=None,
 ) -> np.ndarray:
     """(I_nu f)(y) = int f(z) |{-y-z}|^{nu-1} sgn(-y-z)^eps dz for each y in
-    y_grid; f must vanish outside `support` (taken from f.support when not
-    given) and accept numpy arrays.  Requires Re nu > 0 (= n/2 - 1 for
-    n = 2).  Every value is certified against its own error estimate."""
+    y_grid; f must vanish outside f.support and accept numpy arrays.
+    Requires Re nu > 0 (= n/2 - 1 for n = 2).  Every value is certified
+    against its own error estimate."""
     nu = complex(nu)
     if nu.real <= 0:
         raise ConvergenceRegionError("intertwining integral needs Re nu > 0")
-    if support is None:
-        support = f.support
-    a, b = float(support[0]), float(support[1])
+    a, b = _support(f)
     y = np.asarray(y_grid, dtype=float).ravel()
     val, err = _apply_batch(
-        [f], nu, epsilon, y, np.zeros(y.size, int), a, b,
-        cfg.abs_tol, cfg.rel_tol, cfg.max_depth,
+        [f], nu, epsilon, y, np.zeros(y.size, int), a, b, cfg.abs_tol, cfg.rel_tol
     )
     _require(val, err, cfg, "intertwine_apply_n2")
     return val
@@ -677,24 +664,22 @@ def intertwine_compose_n2(
     epsilon: int,
     x_grid,
     cfg: QuadratureConfig = DEFAULT_QUAD,
-    support=None,
-    window: float = 1.0,
-    far: float = 60.0,
 ) -> np.ndarray:
-    """(I_{-nu} (I~_nu f))(x) for x in x_grid, 0 < Re nu < 1.
+    """(I_{-nu} (I~_nu f))(x) for x in x_grid, 0 < Re nu < 1, |x| < 59.
 
     The inner operator g is the convergent integral of intertwine_apply_n2;
     the outer kernel |x+z|^{-nu-1} is not locally integrable, so it is
     continued by its finite part around z = -x, taken by one integration by
-    parts over |z+x| < R = window:
+    parts over |z+x| < R = _WINDOW = 1:
     FP int_{-R}^{R} g(-x+u) K(u) du = [g(-x+u) A(u)]_{-R}^{R}
         - int_{-R}^{R} g'(-x+u) A(u) du,
     with A the antiderivative (-1)^eps sgn(u)^{eps+1} |u|^{-nu}/(-nu) of K,
     whose u = 0 boundary terms continue to zero; g' = -I~_nu f' comes from
-    f.derivative.  Beyond the window the outer integral runs to +-far, and
-    past that g is continued by its asymptote g(+-far) (|z|/far)^{nu-1},
-    whose tail integrals are in closed form; this leaves an O(far^-2)
-    model error, which the error estimate does not cover.
+    f.derivative.  Beyond the window the outer integral runs to +-far,
+    far = _FAR = 60, and past that g is continued by its asymptote
+    g(+-far) (|z|/far)^{nu-1}, whose tail integrals are in closed form;
+    this leaves an O(far^-2) model error, which the error estimate does
+    not cover.
 
     g and g' are computed for a whole batch of outer nodes at once, with
     inner tolerances a hundredth of cfg's, and their error estimates are
@@ -706,13 +691,11 @@ def intertwine_compose_n2(
     nu = complex(nu)
     if not 0 < nu.real < 1:
         raise ConvergenceRegionError("composition probe needs 0 < Re nu < 1")
-    if support is None:
-        support = f.support
+    a, b = _support(f)
     f_prime = getattr(f, "derivative", None)
     if f_prime is None:
         raise ValueError("f must provide a .derivative method")
-    a, b = float(support[0]), float(support[1])
-    R = float(window)
+    R, far = _WINDOW, _FAR
     sign = (-1.0) ** (epsilon % 2)
 
     def tail_integral(x):
@@ -727,7 +710,7 @@ def intertwine_compose_n2(
             # which = 0: g(z); which = 1: g'(z) = -(I~_nu f')(z)
             v, e = _apply_batch(
                 [f, f_prime], nu, epsilon, z, which, a, b,
-                cfg.abs_tol * share, cfg.rel_tol * share, cfg.max_depth,
+                cfg.abs_tol * share, cfg.rel_tol * share,
             )
             return np.where(which == 1, -v, v), e
 
@@ -757,7 +740,7 @@ def intertwine_compose_n2(
             1,
             cfg.abs_tol / 2,
             cfg.rel_tol / 2,
-            cfg.max_depth,
+            _MAX_PANELS,
             base=known,
             chunk=21 * 12,  # each outer node is a batch of inner integrals
         )
@@ -765,8 +748,8 @@ def intertwine_compose_n2(
 
     out, est = [], []
     for x in np.asarray(x_grid, dtype=float).ravel():
-        if not 0 < R < far - abs(x):
-            raise ValueError("need 0 < window < far - |x|")
+        if not abs(x) < far - R:
+            raise ValueError(f"need |x| < {far - R:g}")
         v, e = point(x, 1e-2)
         tol = max(cfg.abs_tol, cfg.rel_tol * abs(v))
         if not e <= tol:

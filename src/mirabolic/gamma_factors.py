@@ -13,7 +13,6 @@ expanded as Gamma_R(shift) Gamma_R(shift+1), the multiset sorted.
 
 from __future__ import annotations
 
-import cmath
 import re as _re
 from dataclasses import dataclass
 
@@ -22,6 +21,7 @@ from .principal_series import PSParams
 from .special import (
     _is_nonpositive_even_integer,
     _is_nonpositive_integer,
+    finite_exp,
     log_gamma_C,
     log_gamma_R,
 )
@@ -251,7 +251,8 @@ def canonicalize(g: GammaProduct) -> GammaProduct:
 
 
 def evaluate_gamma_product(g: GammaProduct, s: complex) -> complex:
-    """Numerical value of the product at s, accumulated in log space."""
+    """Numerical value of the product at s, accumulated in log space;
+    raises ValueOverflowError when it exceeds the double range."""
     s = complex(s)
     total = 0j
     for kind, sh in g.factors:
@@ -264,7 +265,7 @@ def evaluate_gamma_product(g: GammaProduct, s: complex) -> complex:
             if _is_nonpositive_integer(z):
                 raise PoleError(f"Gamma_C pole in factor C({complex(sh)}) at s={s}")
             total += log_gamma_C(z)
-    return cmath.exp(total)
+    return finite_exp(total, "Gamma product")
 
 
 def embedding_params(p: IsobaricSum, alt_delta: bool = False) -> PSParams:

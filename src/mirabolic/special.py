@@ -3,13 +3,15 @@ G_delta, Hurwitz zeta and Dirichlet L-functions with analytic continuation.
 
 Everything Gamma-like is computed in log space (scipy's complex loggamma,
 which tracks the branch continuously) and exponentiated at the boundary, so
-ratios like G_delta stay finite where the naive quotient would overflow.
-scipy.special is imported by its three callers (gamma_complex, log_gamma and
-L(1, psi) through digamma) on first use, so importing this module, and the
-CLI commands that need no Gamma value, do not load scipy.
+ratios like G_delta stay finite where the naive quotient would overflow; a
+value whose exponential is still too large for a double raises
+ValueOverflowError.  scipy.special is imported by its two callers (log_gamma
+and L(1, psi) through digamma) on first use, so importing this module, and
+the CLI commands that need no Gamma value, do not load scipy.
 
-Hurwitz zeta uses Euler-Maclaurin with a configurable truncation point and
-Bernoulli depth; Dirichlet L-functions are assembled from it as
+Hurwitz zeta uses Euler-Maclaurin with a fixed rule: M = max(30,
+int(1.2 |Im s|) + 10) directly summed terms and J = 25 Bernoulli corrections
+B_2 .. B_50.  Dirichlet L-functions are assembled from it as
 L(s, psi) = N^{-s} sum_a psi(a) zeta(s, a/N), which continues L to the whole
 plane (minus s=1 for principal psi).
 """
@@ -17,31 +19,16 @@ plane (minus s=1 for principal psi).
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import pi
 
 from .characters import DirichletCharacter, euler_phi
-from .errors import NotPrincipalError, PoleError
+from .errors import NotPrincipalError, PoleError, ValueOverflowError
 
 _POLE_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class PrecisionConfig:
-    """Knobs for the Euler-Maclaurin continuation of Hurwitz zeta.
-
-    em_truncation: minimum number of directly summed terms (the truncation
-        point also grows with |Im s| automatically).
-    bernoulli_depth: number of Bernoulli correction terms (B_2 .. B_{2J}).
-    """
-
-    em_truncation: int = 30
-    bernoulli_depth: int = 25
-
-
-DEFAULT_PRECISION = PrecisionConfig()
+_EM_MIN_TERMS = 30  # Euler-Maclaurin: at least this many terms summed directly
+_EM_DEPTH = 25  # Bernoulli corrections B_2 .. B_50
 
 
 def _is_nonpositive_even_integer(z: complex) -> bool:
@@ -60,20 +47,19 @@ def _is_nonpositive_integer(z: complex) -> bool:
     )
 
 
-def _check_finite(value: complex, what: str) -> complex:
-    if not (cmath.isfinite(value)):
+def finite_exp(z: complex, what: str) -> complex:
+    """exp(z) for a log-space value z of `what`: raises ValueOverflowError
+    when exp(z) exceeds the double range, and PoleError when z is already
+    not finite (a NaN, or an infinite log at a pole)."""
+    try:
+        value = cmath.exp(z)
+    except OverflowError:
+        raise ValueOverflowError(
+            f"{what} overflows a double: log of its magnitude is {z.real:.6g}"
+        ) from None
+    if not cmath.isfinite(value):
         raise PoleError(f"{what} evaluated to a non-finite value")
     return value
-
-
-def gamma_complex(s: complex) -> complex:
-    """Gamma(s); raises PoleError at nonpositive integers."""
-    import scipy.special as sp
-
-    s = complex(s)
-    if _is_nonpositive_integer(s):
-        raise PoleError(f"Gamma pole at s={s}")
-    return _check_finite(complex(sp.gamma(s)), "Gamma")
 
 
 def log_gamma(s: complex) -> complex:
@@ -93,7 +79,7 @@ def log_gamma_R(s: complex) -> complex:
 
 def gamma_R(s: complex) -> complex:
     """Gamma_R(s) = pi^{-s/2} Gamma(s/2); poles at even nonpositive integers."""
-    return _check_finite(cmath.exp(log_gamma_R(s)), "Gamma_R")
+    return finite_exp(log_gamma_R(s), "Gamma_R")
 
 
 def log_gamma_C(s: complex) -> complex:
@@ -104,7 +90,7 @@ def log_gamma_C(s: complex) -> complex:
 
 def gamma_C(s: complex) -> complex:
     """Gamma_C(s) = 2 (2 pi)^{-s} Gamma(s); poles at nonpositive integers."""
-    return _check_finite(cmath.exp(log_gamma_C(s)), "Gamma_C")
+    return finite_exp(log_gamma_C(s), "Gamma_C")
 
 
 def G_delta_is_pole(s: complex, delta: int) -> bool:
@@ -129,8 +115,9 @@ def G_delta(s: complex, delta: int) -> complex:
         raise PoleError(f"G_{delta} pole at s={s}")
     if G_delta_is_zero(s, delta):
         return 0j
-    val = 1j**delta * cmath.exp(log_gamma_R(s + delta) - log_gamma_R(1 - s + delta))
-    return _check_finite(val, "G_delta")
+    return 1j**delta * finite_exp(
+        log_gamma_R(s + delta) - log_gamma_R(1 - s + delta), "G_delta"
+    )
 
 
 @lru_cache(maxsize=None)
@@ -147,9 +134,7 @@ def _bernoulli(n: int) -> Fraction:
     return -total / (n + 1)
 
 
-def hurwitz_zeta(
-    s: complex, a: float, config: PrecisionConfig = DEFAULT_PRECISION
-) -> complex:
+def hurwitz_zeta(s: complex, a: float) -> complex:
     """zeta(s, a) = sum_{k>=0} (k+a)^{-s}, continued by Euler-Maclaurin.
 
     a must lie in (0, 1]; s != 1.
@@ -160,8 +145,7 @@ def hurwitz_zeta(
     if abs(s - 1) < _POLE_TOL:
         raise PoleError("Hurwitz zeta pole at s=1")
 
-    M = max(config.em_truncation, int(1.2 * abs(s.imag)) + 10)
-    J = config.bernoulli_depth
+    M = max(_EM_MIN_TERMS, int(1.2 * abs(s.imag)) + 10)
 
     total = 0j
     for k in range(M):
@@ -174,7 +158,7 @@ def hurwitz_zeta(
     # Bernoulli tail: sum_j B_{2j}/(2j)! * (s)_{2j-1} * x^{-s-2j+1}
     poch = s  # (s)_1
     xpow = cmath.exp((-s - 1) * logx)
-    for j in range(1, J + 1):
+    for j in range(1, _EM_DEPTH + 1):
         b = _bernoulli(2 * j)
         fact = 1
         for i in range(2, 2 * j + 1):
@@ -185,15 +169,11 @@ def hurwitz_zeta(
     return total
 
 
-def riemann_zeta(s: complex, config: PrecisionConfig = DEFAULT_PRECISION) -> complex:
-    return hurwitz_zeta(s, 1.0, config)
+def riemann_zeta(s: complex) -> complex:
+    return hurwitz_zeta(s, 1.0)
 
 
-def dirichlet_L(
-    s: complex,
-    psi: DirichletCharacter,
-    config: PrecisionConfig = DEFAULT_PRECISION,
-) -> complex:
+def dirichlet_L(s: complex, psi: DirichletCharacter) -> complex:
     """L(s, psi) = N^{-s} sum_{a=1}^{N} psi(a) zeta(s, a/N).
 
     Agrees with the Dirichlet series for Re s > 1; the only pole is at s=1
@@ -206,15 +186,15 @@ def dirichlet_L(
             raise PoleError("L(s, principal) pole at s=1")
         # nontrivial psi: the zeta poles cancel; evaluate just off-axis is
         # unnecessary because the combination below is formed termwise.
-        return _dirichlet_L_at_1(psi, config)
+        return _dirichlet_L_at_1(psi)
     total = 0j
     for a in psi.units:
         aa = a if a != 0 else N  # modulus 1 stores residue 0
-        total += psi(a) * hurwitz_zeta(s, aa / N, config)
+        total += psi(a) * hurwitz_zeta(s, aa / N)
     return cmath.exp(-s * cmath.log(N)) * total
 
 
-def _dirichlet_L_at_1(psi: DirichletCharacter, config: PrecisionConfig) -> complex:
+def _dirichlet_L_at_1(psi: DirichletCharacter) -> complex:
     # The simple poles of zeta(s, a/N) cancel for nonprincipal psi; take the
     # finite parts: zeta(s,a) = 1/(s-1) - psi0(a) + O(s-1) with digamma.
     # Use the digamma formula L(1,psi) = -(1/N) sum psi(a) digamma(a/N).

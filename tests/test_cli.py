@@ -99,6 +99,14 @@ def test_gamma_ext2_with_eval(capsys):
     assert "value" in r
 
 
+def test_gamma_overflow_is_domain_error(capsys):
+    # Gamma_R(1500) ~ e^3354 is beyond the double range
+    code, out, err = run(capsys, "gamma", "--rep", "triv", "--eval", "1500")
+    assert code == EXIT_DOMAIN and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ValueOverflowError"
+
+
 def test_gamma_parse_error_exit(capsys):
     code, out, err = run(capsys, "gamma", "--rep", "bogus")
     assert code == EXIT_USAGE

@@ -25,9 +25,10 @@ from mirabolic.fe_verify import (
     QuadratureConfig,
     SingularProduct,
     _beta_like_n3,
+    _line_pieces,
+    _power_product,
     beta_like_closed,
     beta_like_quadrature,
-    default_config,
     eisfe_scalar,
     h_integral,
     integrate_product_line,
@@ -42,31 +43,35 @@ from mirabolic.panels import _GAUSS_W, _KRONROD_W, _KRONROD_X
 from mirabolic.special import G_delta
 
 
-def test_config_validation_and_env(monkeypatch):
+def test_config_validation_and_env():
     with pytest.raises(ValueError):
         QuadratureConfig(abs_tol=-1.0)
     with pytest.raises(ValueError):
-        QuadratureConfig(max_depth=0)
-    monkeypatch.setenv("MIRABOLIC_PRECISION", "1e-6")
-    cfg = default_config()
-    assert cfg.rel_tol == 1e-6 and cfg.abs_tol == 1e-8
-    monkeypatch.setenv("MIRABOLIC_PRECISION", "garbage")
-    with pytest.raises(ValueError):
-        default_config()
+        QuadratureConfig(rel_tol=0.0)
 
 
-def test_singular_product_eval_near_is_exact():
-    # eval_near must compute offsets from the singular point exactly, even
-    # when the position itself is not representable relative to h.
+def test_line_pieces_near_piece_is_exact():
+    # the near pieces must compute offsets from the singular point exactly,
+    # even when the position itself is not representable relative to h.
     t = 1 / 3
     sp = SingularProduct([(t, 0.25, 0), (0.0, 0.25, 1)])
     h = 1e-300
-    v = sp.eval_near(0, h)
-    # distance to the other singular point is t - (t + h) computed as -h + 0
+    P = _line_pieces(sp)
+
+    def near_right_of(term):
+        # the integrand at x = pos_term + h: phi(h) times the kernel h^{s-1}
+        i = np.flatnonzero(~P.tail & (P.anchor == term) & (P.A[:, term] == 1.0))
+        assert i.size == 1
+        i = int(i[0])
+        phi = P.c[i] * _power_product(P.A[i] + P.B[i] * h, sp.betas, sp.etas)
+        return complex(phi * h ** (P.s[i] - 1))
+
+    v = near_right_of(0)
+    # distance to the other singular point is t - 0 + h, from the exact offset
     want = h ** (0.25 - 1) * abs(t + h) ** (0.25 - 1) * math.copysign(1, t + h)
     assert v != 0 and abs(v - want) < 1e-12 * abs(want)
     # at the singular point itself the factor distance is exactly h
-    assert sp.eval_near(1, h) != 0
+    assert near_right_of(1) != 0
 
 
 def test_integrate_product_line_full_line_beta():
@@ -213,7 +218,7 @@ def test_beta_like_quadrature_region_checks():
 
 def test_certification_failure_surfaces():
     # an impossible tolerance raises rather than silently passing
-    cfg = QuadratureConfig(abs_tol=1e-30, rel_tol=1e-30, max_depth=10)
+    cfg = QuadratureConfig(abs_tol=1e-30, rel_tol=1e-30)
     with pytest.raises(ToleranceNotMetError) as ei:
         beta_like_quadrature([0.3, 0.4], [0, 0], 1.0, cfg)
     assert ei.value.achieved > 0
@@ -401,10 +406,20 @@ def test_intertwine_apply_matches_tanh_sinh(nu):
         assert abs(v - want) <= max(cfg.abs_tol, cfg.rel_tol * abs(want)), y
 
 
-def test_intertwine_compose_requires_derivative():
+@pytest.mark.parametrize(
+    "operator, attributes, missing",
+    [
+        (intertwine_compose_n2, {"support": (-1.0, 1.0)}, "derivative"),
+        (intertwine_compose_n2, {"derivative": lambda x: -2 * x}, "support"),
+        (intertwine_apply_n2, {}, "support"),
+    ],
+    ids=["compose-no-derivative", "compose-no-support", "apply-no-support"],
+)
+def test_intertwine_requires_test_function_attributes(operator, attributes, missing):
     def f(x):
-        return max(0.0, 1 - x * x)
+        return np.maximum(0.0, 1 - x * x)
 
-    f.support = (-1.0, 1.0)
-    with pytest.raises(ValueError):
-        intertwine_compose_n2(f, 0.6, 0, [0.0])
+    for name, value in attributes.items():
+        setattr(f, name, value)
+    with pytest.raises(ValueError, match=missing):
+        operator(f, 0.6, 0, [0.0])
