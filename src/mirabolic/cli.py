@@ -226,13 +226,14 @@ def _finish(case: dict, tol: float) -> dict:
 
 def _suite_betalike(tol: float, cfg) -> list[dict]:
     cases = []
-    grid2 = [
+    grid = [
         ((0.3, 0.4), (0, 0)),
         ((0.3, 0.4), (1, 1)),
         ((0.25, 0.45), (0, 1)),
         ((0.35, 0.3), (1, 0)),
+        ((0.2, 0.3, 0.3), (0, 0, 0)),
     ]
-    for beta, eta in grid2:
+    for beta, eta in grid:
         closed = fe_verify.beta_like_closed(beta, eta, 1.0)
         try:
             quad = fe_verify.beta_like_quadrature(beta, eta, 1.0, cfg)
@@ -241,22 +242,6 @@ def _suite_betalike(tol: float, cfg) -> list[dict]:
         cases.append(
             _finish(_case({"beta": list(beta), "eta": list(eta)}, closed, quad), tol)
         )
-    beta3, eta3 = (0.2, 0.3, 0.3), (0, 0, 0)
-    closed = fe_verify.beta_like_closed(beta3, eta3, 1.0)
-    # the n=3 nested quadrature is certified at 1e-4; requesting more is slow
-    cfg3 = fe_verify.QuadratureConfig(
-        abs_tol=max(cfg.abs_tol, 1e-6), rel_tol=max(cfg.rel_tol, 1e-4)
-    )
-    try:
-        quad = fe_verify.beta_like_quadrature(beta3, eta3, 1.0, cfg3)
-    except ToleranceNotMetError as exc:
-        quad = exc
-    cases.append(
-        _finish(
-            _case({"beta": list(beta3), "eta": list(eta3)}, closed, quad),
-            max(tol, 1e-4),
-        )
-    )
     return cases
 
 

@@ -9,10 +9,10 @@ integrated against the exact kernel mass, and adaptive bisection of the
 panels whose embedded estimate is too large.  A line integral is cut into
 pieces at its singular points, evaluated at exact offsets from them, with
 the tails mapped by x = a +- R/u; the conditionally convergent oscillatory
-integral switches to repeated integration by parts past a cutoff.  Whole
+integral switches to repeated integration by parts past a cutoff.  The n=3
+beta-like integral is the product of two such line integrals.  Whole
 batches of integrals are refined at once: the inner integrals at the outer
-nodes of the nested n=3 beta-like integral, and those of the n=2
-intertwining composition.
+nodes of the n=2 intertwining composition.
 
 A quadrature oracle that cannot certify agreement with its closed form raises
 ToleranceNotMetError rather than returning silently.  The intertwining
@@ -47,6 +47,8 @@ from .special import G_delta, G_delta_is_zero
 _TWO_PI_I = 2j * math.pi
 _MAX_PANELS = 200  # Gauss-Kronrod panels per piece of the graded rule
 _OSC_CUTOFF = 10.0  # periods integrated directly before the by-parts tail
+_OSC_PARTS = 8  # integrations by parts in the oscillatory tail
+_PAIR_NORM_TOL = 1e-9  # |sum lambda| accepted as zero by the pairing scalars
 # the n=2 composition: finite part over |z + x| < _WINDOW, direct quadrature
 # out to |z| = _FAR, the asymptote of g beyond
 _WINDOW = 1.0
@@ -100,19 +102,17 @@ def _power_product(d, beta, eta):
 class SingularProduct:
     """An integrand const * prod_i |x - pos_i|^{beta_i - 1} sgn(x - pos_i)^{eta_i}.
 
-    The positions may be arrays of one shape: a batch of products that share
-    their exponents, one product per position.  The point of the class
-    (rather than a closure) is exact-offset evaluation: _line_pieces cuts
-    the line at the singular points and evaluates each piece at the signed
-    distance h from its point, so |x - pos_i| = |h| is computed without the
-    catastrophic cancellation of reconstructing it from x = pos_i + h, and
-    the other factors get (pos_i - pos_j) + h.
+    The point of the class (rather than a closure) is exact-offset
+    evaluation: _line_pieces cuts the line at the singular points and
+    evaluates each piece at the signed distance h from its point, so
+    |x - pos_i| = |h| is computed without the catastrophic cancellation of
+    reconstructing it from x = pos_i + h, and the other factors get
+    (pos_i - pos_j) + h.
     """
 
     def __init__(self, terms, const: complex = 1.0):
         pos, beta, eta = zip(*terms)
-        pos = np.broadcast_arrays(*(np.asarray(p, dtype=float) for p in pos))
-        self.positions = np.stack(pos, axis=-1)
+        self.positions = np.array(pos, dtype=float)
         self.betas = np.array(beta, dtype=complex)
         self.etas = np.array(eta, dtype=int) % 2
         self.const = complex(const)
@@ -170,33 +170,26 @@ def _line_pieces(sp: SingularProduct) -> _Pieces:
     )
 
 
-def _product_line(sp: SingularProduct, abs_tol, rel_tol):
-    """Line integrals of every product of sp and their error estimates, as
-    arrays; abs_tol may be one value per product."""
+def integrate_product_line(sp: SingularProduct, cfg: QuadratureConfig):
+    """Integrate a SingularProduct over the whole real line, on the graded
+    Gauss-Kronrod rule of mirabolic.panels.
+
+    |sp(x)| decays like |x|^{Re sum(beta_i - 1)} at infinity; raises
+    ConvergenceRegionError unless that exponent is < -1.  Returns
+    (value, error_estimate)."""
+    if (sp.betas - 1).sum().real >= -1:
+        raise ConvergenceRegionError("integrand does not decay at infinity")
     P = _line_pieces(sp)
 
     def phi(idx, h):
         d = P.A[idx] + P.B[idx] * h[:, None]
         return P.c[idx] * _power_product(d, sp.betas, sp.etas), None
 
-    return graded_integrals(
-        phi, P.L, np.zeros(P.L.size), P.s, P.row, P.row[-1] + 1,
-        abs_tol, rel_tol, _MAX_PANELS,
+    val, est = graded_integrals(
+        phi, P.L, np.zeros(P.L.size), P.s, P.row, 1,
+        cfg.abs_tol, cfg.rel_tol, _MAX_PANELS,
     )
-
-
-def integrate_product_line(sp, tail_exp: float, cfg: QuadratureConfig):
-    """Integrate a SingularProduct over the whole real line, on the graded
-    Gauss-Kronrod rule of mirabolic.panels.
-
-    tail_exp: decay exponent Re sum(beta_i - 1) of |sp(x)| at infinity, must
-    be < -1.  Returns (value, error_estimate), arrays for a batch."""
-    if tail_exp >= -1:
-        raise ConvergenceRegionError("integrand does not decay at infinity")
-    val, est = _product_line(sp, cfg.abs_tol, cfg.rel_tol)
-    if sp.positions.ndim == 1:
-        return complex(val[0]), float(est[0])
-    return val, est
+    return complex(val[0]), float(est[0])
 
 
 # ---------------------------------------------------------------------------
@@ -216,12 +209,12 @@ def eisfe_scalar(params: EisParams) -> complex:
     return (-1) ** eps * gauss_sum(psi) * npow * G_delta(nu - n / 2 + 1, eps)
 
 
-def _check_pair_normalization(lam, delta, eta, n, epsilon, tol=1e-9):
+def _check_pair_normalization(lam, delta, eta, n, epsilon):
     lam = [complex(x) for x in lam]
     delta = [int(d) for d in delta]
     if len(lam) != 2 * n or len(delta) != 2 * n:
         raise ValueError("lambda and delta must have length 2n")
-    if abs(sum(lam)) > tol:
+    if abs(sum(lam)) > _PAIR_NORM_TOL:
         raise NormalizationError("sum of lambda must vanish")
     if (sum(delta) - epsilon - n * eta) % 2 != 0:
         raise NormalizationError(
@@ -290,12 +283,10 @@ def beta_like_closed(beta, eta, t_n: float) -> complex:
     return num / denom * _abs_pow(t, total_b - 1) * _sgn_pow(t, total_e)
 
 
-def _betalike_check_region(beta):
-    total = sum(complex(b) for b in beta)
-    if any(complex(b).real <= 0 for b in beta) or total.real >= 1:
-        raise ConvergenceRegionError(
-            "need Re beta_j > 0 and Re(sum beta) < 1 for absolute convergence"
-        )
+def _in_betalike_region(beta) -> bool:
+    """Re beta_j > 0 and Re(sum beta) < 1: where the beta-like integral
+    converges absolutely."""
+    return all(b.real > 0 for b in beta) and sum(beta).real < 1
 
 
 def _betalike_product(beta0, eta0, beta1, eta1, t) -> SingularProduct:
@@ -307,20 +298,22 @@ def _betalike_product(beta0, eta0, beta1, eta1, t) -> SingularProduct:
 
 
 def beta_like_quadrature(beta, eta, t_n: float, cfg: QuadratureConfig = DEFAULT_QUAD) -> complex:
-    """The beta-like integral by direct (nested) quadrature on the graded
-    rule, n = len(beta) in {2, 3}.  Certifies agreement with
-    beta_like_closed."""
+    """The beta-like integral by line quadrature on the graded rule,
+    n = len(beta) in {2, 3} (n = 3 as a product of two n = 2 integrals, see
+    _beta_like_n3).  Certifies agreement with beta_like_closed."""
     beta = [complex(b) for b in beta]
     eta = [int(e) for e in eta]
     n = len(beta)
     if n not in (2, 3):
         raise ValueError("quadrature oracle implemented for n in {2, 3}")
-    _betalike_check_region(beta)
+    if not _in_betalike_region(beta):
+        raise ConvergenceRegionError(
+            "need Re beta_j > 0 and Re(sum beta) < 1 for absolute convergence"
+        )
     t = float(t_n)
     if n == 2:
         sp = _betalike_product(beta[0], eta[0], beta[1], eta[1], t)
-        tail = (beta[0] + beta[1]).real - 2
-        val, est = integrate_product_line(sp, tail, cfg)
+        val, est = integrate_product_line(sp, cfg)
     else:
         val, est = _beta_like_n3(beta, eta, t, cfg)
     closed = beta_like_closed(beta, eta, t)
@@ -329,56 +322,33 @@ def beta_like_quadrature(beta, eta, t_n: float, cfg: QuadratureConfig = DEFAULT_
 
 
 def _beta_like_n3(beta, eta, t: float, cfg: QuadratureConfig):
-    """The n=3 beta-like integral as the line integral over t2 of
-    |t2|^{beta2-1} sgn(t2)^{eta2} inner(t - t2), where inner(t') is the n=2
-    integral with singular points t' and 0, computed by quadrature at every
-    outer node: one batched call per evaluation of the outer phi, whose
-    estimates are carried through the outer weights.
+    """The n=3 beta-like integral as a product of two n=2 line integrals.
 
-    The outer pieces are those of the product with singular points 0
-    (exponent beta2) and t (exponent b = beta0 + beta1, as inner(t') is
-    homogeneous of degree b - 1): phi takes inner(t') |t'|^{1-b} in place
-    of that factor's |t'|^{b-1}.  At t' = 0 (the endpoint at t) and at
-    t' = +-inf (u = 0 on the tails) it takes the homogeneity limit
-    inner(sgn t'), with inner(+-1) again by quadrature."""
-    b = beta[0] + beta[1]
-    outer = SingularProduct([(0.0, beta[2], eta[2]), (t, b, 0)])
-    P = _line_pieces(outer)
-    step = 256  # inner integrals per batch, so that peak memory stays flat
+    Write k_j(x) = |x|^{beta_j-1} sgn(x)^{eta_j}, so that the n=2 integral
+    I2(beta0, eta0; beta1, eta1; t) is the convolution (k0 * k1)(t) and the
+    n=3 one is (k0 * k1 * k2)(t) = int inner(t - t2) k2(t2) dt2, with
+    inner = k0 * k1.  Substituting t1 = |t'| u in inner(t') (Fubini makes
+    the order of integration free, the region keeps every integral
+    absolutely convergent) shows that inner is homogeneous:
+    inner(t') = inner(1) |t'|^{b-1} sgn(t')^{eta0+eta1}, b = beta0 + beta1.
+    So inner = inner(1) k_b with parity eta0 + eta1, and
 
-    def inner(tp):
-        # inner(t') |t'|^{1-b} and its error bound; the absolute tolerance
-        # follows the scale |t'|^{Re b - 1} of inner(t'), or the outer tails,
-        # which sample |t'| over many decades, would see O(1) relative noise
-        val = np.empty(tp.size, complex)
-        err = np.empty(tp.size)
-        for i in range(0, tp.size, step):
-            x = tp[i : i + step]
-            scale = np.abs(x) ** (b.real - 1)
-            v, e = _product_line(
-                _betalike_product(beta[0], eta[0], beta[1], eta[1], x),
-                cfg.abs_tol / 100 * scale, cfg.rel_tol / 100,
-            )
-            val[i : i + step] = v * np.exp((1 - b) * np.log(np.abs(x)))
-            err[i : i + step] = e / scale
-        return val, err
+        I3(t) = I2(beta0, eta0; beta1, eta1; 1)
+                * I2(b, eta0 + eta1; beta2, eta2; t).
 
-    def phi(idx, h):
-        d = P.A[idx] + P.B[idx] * h[:, None]
-        v = P.c[idx] * _power_product(d, outer.betas, outer.etas)
-        # t' = t - x from exact offsets: x - t is d1 on the near pieces at 0,
-        # h d1 on those at t (d1 = +-1 there) and d1/u on the tails
-        d1 = d[:, 1]
-        with np.errstate(divide="ignore"):
-            x_t = np.select([P.tail[idx], P.anchor[idx] == 1], [d1 / h, d1 * h], d1)
-        g, ge = inner(np.where(np.isfinite(x_t) & (x_t != 0), -x_t, -np.sign(d1)))
-        return v * g, np.abs(v) * ge
-
-    val, est = graded_integrals(
-        phi, P.L, np.zeros(P.L.size), P.s, P.row, 1,
-        cfg.abs_tol / 3, cfg.rel_tol / 3, _MAX_PANELS,
+    Each factor is one integrate_product_line call at cfg/3; the product
+    (v1, e1) (v2, e2) gets the estimate |v1| e2 + |v2| e1 + e1 e2.  The
+    check against beta_like_closed still compares an independent numerical
+    route with the n=3 Gamma closed form; Fubini and homogeneity, two exact
+    theorems, are used rather than integrated numerically."""
+    third = QuadratureConfig(cfg.abs_tol / 3, cfg.rel_tol / 3)
+    v1, e1 = integrate_product_line(
+        _betalike_product(beta[0], eta[0], beta[1], eta[1], 1.0), third
     )
-    return complex(val[0]), float(est[0])
+    v2, e2 = integrate_product_line(
+        _betalike_product(beta[0] + beta[1], eta[0] + eta[1], beta[2], eta[2], t), third
+    )
+    return v1 * v2, abs(v1) * e2 + abs(v2) * e1 + e1 * e2
 
 
 def _certify(val: complex, est: float, closed: complex, cfg: QuadratureConfig):
@@ -422,8 +392,8 @@ def oscillatory_closed(nu: complex, n: int, epsilon: int, d: int, k: int) -> com
     )
 
 
-def _osc_tail(w: complex, m: float, X: float, parts: int = 8):
-    """int_X^inf x^w e(m x) dx by `parts` integrations by parts.
+def _osc_tail(w: complex, m: float, X: float):
+    """int_X^inf x^w e(m x) dx by _OSC_PARTS integrations by parts.
 
     Returns (value, bound on the dropped remainder)."""
     c = _TWO_PI_I * m
@@ -432,15 +402,15 @@ def _osc_tail(w: complex, m: float, X: float, parts: int = 8):
     coeff = 1 + 0j  # falling factorial (w)(w-1)...(w-i+1)
     cpow = c
     sign = -1.0
-    for i in range(parts):
+    for i in range(_OSC_PARTS):
         val += sign * coeff * cmath.exp((w - i) * math.log(X)) * E / cpow
         coeff *= w - i
         cpow *= c
         sign = -sign
     rem = (
         abs(coeff)
-        * X ** (w.real - parts + 1)
-        / ((parts - 1 - w.real) * abs(cpow) / abs(c))
+        * X ** (w.real - _OSC_PARTS + 1)
+        / ((_OSC_PARTS - 1 - w.real) * abs(cpow) / abs(c))
     )
     return val, rem
 
@@ -523,15 +493,11 @@ def h_integral(
     lemma.  The closed form is the signed beta-like ratio at t = 1."""
     beta, etas, sign = _h_parameters(lam, delta, nu, n, eta, epsilon)
     closed = sign * beta_like_closed(beta, etas, 1.0)
-    if n != 2:
+    if n != 2 or not _in_betalike_region(beta):
         return closed, None
-    if any(b.real <= 0 for b in beta) or sum(b.real for b in beta) >= 1:
-        return closed, None
-    b1, e1 = beta[1], etas[1]
-    # |1+x|^{beta0-1} sgn(1+x)^{eps} |x|^{b1-1} sgn(x)^{e1}
-    sp = SingularProduct([(-1.0, beta[0], epsilon), (0.0, b1, e1)])
-    tail = (beta[0] + b1).real - 2
-    val, est = integrate_product_line(sp, tail, cfg)
+    # |1+x|^{beta0-1} sgn(1+x)^{eps} |x|^{beta1-1} sgn(x)^{eta1}
+    sp = SingularProduct([(-1.0, beta[0], epsilon), (0.0, beta[1], etas[1])])
+    val, est = integrate_product_line(sp, cfg)
     _certify(val, est, closed, cfg)
     return closed, val
 

@@ -133,10 +133,10 @@ def graded_integrals(phi, L, d0, s, group, n_groups, abs_tol, rel_tol,
     (ratio 1/4) toward h = 0: down to an endpoint panel whose size follows
     from rel_tol when the kernel is singular there (d0 below that size),
     else down to the scale d0.  Panels whose Gauss-Kronrod estimate is too
-    large for their group's tolerance max(abs_tol, rel_tol*|sum + base|),
-    abs_tol one number or one per group, are split until every group meets
-    it (or, when that is tighter than the rounding error of the group's
-    sum, meets that) or a piece has max_panels panels.
+    large for their group's tolerance max(abs_tol, rel_tol*|sum + base|)
+    are split until every group meets it (or, when that is tighter than
+    the rounding error of the group's sum, meets that) or a piece has
+    max_panels panels.
     Returns (values, error estimates) per group."""
     # phi(h) - phi(0) = O(h), so an endpoint panel [0, tau L] leaves a
     # relative error of order tau^(1+p)

@@ -11,7 +11,8 @@ the CLI commands that need no Gamma value, do not load scipy.
 
 Hurwitz zeta uses Euler-Maclaurin with a fixed rule: M = max(30,
 int(1.2 |Im s|) + 10) directly summed terms and J = 25 Bernoulli corrections
-B_2 .. B_50.  Dirichlet L-functions are assembled from it as
+B_2 .. B_50; a sum beyond the double range raises ValueOverflowError.
+Dirichlet L-functions are assembled from it as
 L(s, psi) = N^{-s} sum_a psi(a) zeta(s, a/N), which continues L to the whole
 plane (minus s=1 for principal psi).
 """
@@ -147,25 +148,30 @@ def hurwitz_zeta(s: complex, a: float) -> complex:
 
     M = max(_EM_MIN_TERMS, int(1.2 * abs(s.imag)) + 10)
 
-    total = 0j
-    for k in range(M):
-        total += cmath.exp(-s * cmath.log(a + k))
-    x = a + M
-    logx = cmath.log(x)
-    total += cmath.exp((1 - s) * logx) / (s - 1)
-    total += cmath.exp(-s * logx) / 2
+    try:
+        total = 0j
+        for k in range(M):
+            total += cmath.exp(-s * cmath.log(a + k))
+        x = a + M
+        logx = cmath.log(x)
+        total += cmath.exp((1 - s) * logx) / (s - 1)
+        total += cmath.exp(-s * logx) / 2
 
-    # Bernoulli tail: sum_j B_{2j}/(2j)! * (s)_{2j-1} * x^{-s-2j+1}
-    poch = s  # (s)_1
-    xpow = cmath.exp((-s - 1) * logx)
-    for j in range(1, _EM_DEPTH + 1):
-        b = _bernoulli(2 * j)
-        fact = 1
-        for i in range(2, 2 * j + 1):
-            fact *= i
-        total += float(b) / fact * poch * xpow
-        poch *= (s + 2 * j - 1) * (s + 2 * j)
-        xpow /= x * x
+        # Bernoulli tail: sum_j B_{2j}/(2j)! * (s)_{2j-1} * x^{-s-2j+1}
+        poch = s  # (s)_1
+        xpow = cmath.exp((-s - 1) * logx)
+        for j in range(1, _EM_DEPTH + 1):
+            b = _bernoulli(2 * j)
+            fact = 1
+            for i in range(2, 2 * j + 1):
+                fact *= i
+            total += float(b) / fact * poch * xpow
+            poch *= (s + 2 * j - 1) * (s + 2 * j)
+            xpow /= x * x
+    except OverflowError:
+        raise ValueOverflowError(
+            f"Hurwitz zeta({s}, {a}) overflows a double"
+        ) from None
     return total
 
 
@@ -191,7 +197,7 @@ def dirichlet_L(s: complex, psi: DirichletCharacter) -> complex:
     for a in psi.units:
         aa = a if a != 0 else N  # modulus 1 stores residue 0
         total += psi(a) * hurwitz_zeta(s, aa / N)
-    return cmath.exp(-s * cmath.log(N)) * total
+    return finite_exp(-s * cmath.log(N), "N^-s") * total
 
 
 def _dirichlet_L_at_1(psi: DirichletCharacter) -> complex:

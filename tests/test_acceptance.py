@@ -179,7 +179,7 @@ def test_criterion_5_gauss_sums_and_orthogonality():
 
 
 def test_criterion_6_beta_like_quadrature():
-    """Nested adaptive quadrature reproduces the G-ratio closed form of the
+    """Line quadrature reproduces the G-ratio closed form of the
     beta-like integral: n = 2 over a 3 x 3 x 4 grid of (beta_0, beta_1,
     parity pair) to 1e-6 relative; n = 3 on 4 cases to 1e-4 relative; under
     5 minutes."""

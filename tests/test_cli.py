@@ -99,9 +99,19 @@ def test_gamma_ext2_with_eval(capsys):
     assert "value" in r
 
 
-def test_gamma_overflow_is_domain_error(capsys):
-    # Gamma_R(1500) ~ e^3354 is beyond the double range
-    code, out, err = run(capsys, "gamma", "--rep", "triv", "--eval", "1500")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # Gamma_R(1500) ~ e^3354 is beyond the double range
+        ("gamma", "--rep", "triv", "--eval", "1500"),
+        # c_0 = L(-300, 1) = zeta(-300), of size ~ 10^375
+        ("eis", "--n", "2", "--nu", "-300", "--modulus", "1", "--r", "0"),
+        ("eis", "--n", "2", "--nu", "-300", "--modulus", "1", "--r", "0", "--cell", "big"),
+    ],
+    ids=["gamma", "eis-wlong", "eis-big"],
+)
+def test_gamma_overflow_is_domain_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
     assert code == EXIT_DOMAIN and out == ""
     payload = json.loads(err)
     assert payload["error"] == "ValueOverflowError"
@@ -148,6 +158,15 @@ def test_verify_betalike_suite(capsys):
     assert len(suite["cases"]) == 5
     for case in suite["cases"]:
         assert case["pass"] and case["rel_err"] is not None
+
+
+def test_verify_betalike_meets_tight_tol(capsys):
+    # every case, n = 3 included, meets the suite's own tolerance
+    code, out, _ = run(capsys, "verify", "--suite", "betalike", "--tol", "1e-9")
+    assert code == EXIT_OK
+    (suite,) = json.loads(out)["result"]["suites"]
+    for case in suite["cases"]:
+        assert case["rel_err"] is not None and case["rel_err"] <= 1e-9
 
 
 def test_verify_oscillatory_suite(capsys):

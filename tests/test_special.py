@@ -72,8 +72,14 @@ def test_G_delta_zeros_and_poles():
         lambda: gamma_C(400),
         lambda: G_delta(700.3, 0),
         lambda: evaluate_gamma_product(l_factors(triv()), 1500),
+        lambda: hurwitz_zeta(-300, 0.5),
+        lambda: riemann_zeta(-300),
+        lambda: dirichlet_L(-300, enumerate_characters(5)[1]),
     ],
-    ids=["gamma_R", "gamma_C", "G_delta", "evaluate_gamma_product"],
+    ids=[
+        "gamma_R", "gamma_C", "G_delta", "evaluate_gamma_product",
+        "hurwitz_zeta", "riemann_zeta", "dirichlet_L",
+    ],
 )
 def test_overflow_is_typed(call):
     # finite values beyond the double range: a typed error, not a bare
