@@ -307,7 +307,7 @@ def _suite_fe(tol: float, cfg) -> list[dict]:
     cases.append(
         _finish(
             _case({"lambda": [_c(complex(x)) for x in lam_h], "nu": _c(0.5)}, closed, quad),
-            max(tol, 1e-4),
+            tol,
         )
     )
     return cases

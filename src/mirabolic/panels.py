@@ -48,14 +48,18 @@ _GAUSS_W[11:20:2] = _GK_WG[::-1]
 # imaginary parts, as numpy has no fast complex-by-real matrix product
 _KG_MATRIX = np.stack([_KRONROD_W, _KRONROD_W - _GAUSS_W], axis=1)
 
-# nodes per vectorized evaluation: bounds the size of temporary arrays
-_CHUNK = 1 << 13
+# nodes per vectorized evaluation.  At 8192 the temporaries of one chunk
+# (128 KiB complex arrays) outgrew glibc's heap trim threshold, so the heap
+# top was returned after every chunk and faulted back in on the next (~23k
+# minor faults per intertwine pass; ~8k at 4096); smaller chunks fault less
+# but cost more in per-chunk overhead than they save
+_CHUNK = 1 << 12
 # relative rounding error of a panel sum, as in QUADPACK: 50 eps
 _ROUNDING = 50 * np.finfo(float).eps
 
 
 def _kernel_powers(d, s):
-    """d^(s-1) for d > 0, elementwise."""
+    """d^(s-1) for d > 0, elementwise with s broadcast against d."""
     logd = np.log(d)
     r = np.exp((s.real - 1) * logd)
     if not np.any(s.imag):
@@ -94,11 +98,12 @@ def _eval_panels(phi, lo, hi, pid, end, d0, s, chunk):
     rows = max(1, chunk // 21)
     for i in range(0, idx.size, rows):
         j = idx[i : i + rows]
+        p = pid[j]
         half = 0.5 * (hi[j] - lo[j])
         h = (0.5 * (hi[j] + lo[j]))[:, None] + half[:, None] * _KRONROD_X
-        pj = np.repeat(pid[j], 21)
-        fv, fe = phi(pj, h.ravel())
-        k = _kernel_powers(d0[pj] + h.ravel(), s[pj]).reshape(-1, 21)
+        fv, fe = phi(np.repeat(p, 21), h.ravel())
+        # per-panel d0 and s broadcast over the 21 nodes of each row
+        k = _kernel_powers(d0[p][:, None] + h, s[p][:, None])
         fk = fv.reshape(-1, 21) * k
         re, im = fk.real @ _KG_MATRIX, fk.imag @ _KG_MATRIX
         v[j] = half * (re[:, 0] + 1j * im[:, 0])

@@ -1,13 +1,15 @@
 """Complex special functions: Gamma, Gamma_R, Gamma_C, the oscillatory factor
 G_delta, Hurwitz zeta and Dirichlet L-functions with analytic continuation.
 
-Everything Gamma-like is computed in log space (scipy's complex loggamma,
-which tracks the branch continuously) and exponentiated at the boundary, so
-ratios like G_delta stay finite where the naive quotient would overflow; a
-value whose exponential is still too large for a double raises
-ValueOverflowError.  scipy.special is imported by its two callers (log_gamma
-and L(1, psi) through digamma) on first use, so importing this module, and
-the CLI commands that need no Gamma value, do not load scipy.
+Pure Python on math and cmath.  Everything Gamma-like is computed in log
+space, by log_gamma on the principal branch (Stirling's series, reached by
+a short recurrence or, left of the imaginary axis, by reflection), and
+exponentiated at the boundary, so ratios like G_delta stay finite where the
+naive quotient would overflow; a value whose exponential is still too large
+for a double raises ValueOverflowError.  Digamma, which L(1, psi) needs,
+uses the same recurrence and series.  The series coefficients of log Gamma,
+digamma and Euler-Maclaurin all come from one table of even Bernoulli
+numbers, computed once on first use.
 
 Hurwitz zeta uses Euler-Maclaurin with a fixed rule: M = max(30,
 int(1.2 |Im s|) + 10) directly summed terms and J = 25 Bernoulli corrections
@@ -22,7 +24,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import pi
+from math import ceil, comb, copysign, factorial, floor, lgamma, log, nan, pi
 
 from .characters import DirichletCharacter, euler_phi
 from .errors import NotPrincipalError, PoleError, ValueOverflowError
@@ -30,6 +32,11 @@ from .errors import NotPrincipalError, PoleError, ValueOverflowError
 _POLE_TOL = 1e-12
 _EM_MIN_TERMS = 30  # Euler-Maclaurin: at least this many terms summed directly
 _EM_DEPTH = 25  # Bernoulli corrections B_2 .. B_50
+_STIRLING_MIN = 10.0  # log Gamma and digamma: asymptotic series for Re z >= this
+_STIRLING_MIN_IMAG = 7.0  # ... or, for log Gamma, for |Im z| >= this
+_STIRLING_TERMS = 10  # B_2 .. B_20: exact to rounding in both regions
+_HALF_LOG_2PI = 0.5 * log(2 * pi)
+_LOG_PI = log(pi)
 
 
 def _is_nonpositive_even_integer(z: complex) -> bool:
@@ -64,12 +71,61 @@ def finite_exp(z: complex, what: str) -> complex:
 
 
 def log_gamma(s: complex) -> complex:
-    import scipy.special as sp
+    """Principal branch of log Gamma(s): the continuation of the real
+    log Gamma from s > 0, cut along the negative real axis, which takes its
+    value from above (from below for an imaginary part of -0.0).
 
-    s = complex(s)
-    if _is_nonpositive_integer(s):
-        raise PoleError(f"Gamma pole at s={s}")
-    return complex(sp.loggamma(s))
+    The layout of Hare (J. Algorithms 25, 1997), in O(1) steps anywhere:
+    - real s: math.lgamma gives log|Gamma|, and each negative factor of
+      Gamma(x) = Gamma(x+m) / (x (x+1) ... (x+m-1)) adds -i pi;
+    - Re s >= _STIRLING_MIN or |Im s| >= _STIRLING_MIN_IMAG: Stirling's
+      series, exact to rounding there;
+    - Re s < 0: reflection, log pi - log sin(pi s) - log Gamma(1-s) plus
+      Hare's 2 pi i branch term; |Im s| < 7 bounds |sin(pi s)| by
+      cosh(7 pi) < 2e9, and the argument of sin is reduced exactly;
+    - otherwise log Gamma(z) = log Gamma(z+2) - log(z (z+1)) shifts z to
+      Stirling's region; with Re z >= 0 the principal log of z (z+1) is
+      the sum of those of z and z+1, which keeps the branch."""
+    z = complex(s)
+    if _is_nonpositive_integer(z):
+        raise PoleError(f"Gamma pole at s={z}")
+    if not cmath.isfinite(z):
+        return complex(nan, nan)
+    x, y = z.real, z.imag
+    if y == 0:
+        return complex(lgamma(x), -copysign(pi, y) * ceil(-x) if x < 0 else y)
+    shift = 0j
+    if abs(y) < _STIRLING_MIN_IMAG:
+        if x < 0:
+            n = round(x)
+            sin_pi = cmath.sin(pi * complex(x - n, y)) * (-1) ** (n % 2)
+            branch = copysign(2 * pi, y) * floor(0.5 * x + 0.25)
+            return complex(_LOG_PI, branch) - cmath.log(sin_pi) - log_gamma(1 - z)
+        while z.real < _STIRLING_MIN:
+            shift += cmath.log(z * (z + 1))
+            z += 2
+    w = 1 / z
+    w2 = w * w
+    series = 0j
+    for c in reversed(_stirling_coefficients()):
+        series = series * w2 + c
+    return (z - 0.5) * cmath.log(z) - z + _HALF_LOG_2PI + series * w - shift
+
+
+def _digamma(x: float) -> float:
+    """psi(x) = Gamma'(x)/Gamma(x) for real x > 0: the recurrence
+    psi(x) = psi(x+1) - 1/x up to x >= _STIRLING_MIN, then the asymptotic
+    series log x - 1/(2x) - sum_k B_2k / (2k x^2k)."""
+    shift = 0.0
+    while x < _STIRLING_MIN:
+        shift += 1 / x
+        x += 1
+    w2 = 1 / (x * x)
+    coeffs = _stirling_coefficients()
+    series = 0.0
+    for k in range(_STIRLING_TERMS, 0, -1):
+        series = series * w2 + (2 * k - 1) * coeffs[k - 1]
+    return log(x) - 0.5 / x - series * w2 - shift
 
 
 def log_gamma_R(s: complex) -> complex:
@@ -122,17 +178,30 @@ def G_delta(s: complex, delta: int) -> complex:
 
 
 @lru_cache(maxsize=None)
-def _bernoulli(n: int) -> Fraction:
-    """B_n (B_1 = -1/2 convention) by the standard recurrence, exact."""
-    if n == 0:
-        return Fraction(1)
-    # sum_{k=0}^{n} C(n+1,k) B_k = 0  for n >= 1
-    total = Fraction(0)
-    binom = 1  # C(n+1, 0)
-    for k in range(n):
-        total += binom * _bernoulli(k)
-        binom = binom * (n + 1 - k) // (k + 1)
-    return -total / (n + 1)
+def _even_bernoulli() -> tuple[float, ...]:
+    """B_0, B_2, ..., B_{2 _EM_DEPTH} as floats, each the rounding of the
+    exact value from sum_{k=0}^{2m} C(2m+1, k) B_k = 0 (B_1 = -1/2, and
+    B_k = 0 for odd k >= 3)."""
+    exact = [Fraction(1)]
+    for m in range(1, _EM_DEPTH + 1):
+        rest = sum(comb(2 * m + 1, 2 * j) * exact[j] for j in range(1, m))
+        exact.append((Fraction(2 * m - 1, 2) - rest) / (2 * m + 1))
+    return tuple(float(b) for b in exact)
+
+
+@lru_cache(maxsize=None)
+def _euler_maclaurin_coefficients() -> tuple[float, ...]:
+    """B_2j / (2j)! for j = 1 .. _EM_DEPTH."""
+    bern = _even_bernoulli()
+    return tuple(bern[j] / factorial(2 * j) for j in range(1, _EM_DEPTH + 1))
+
+
+@lru_cache(maxsize=None)
+def _stirling_coefficients() -> tuple[float, ...]:
+    """B_2k / (2k (2k-1)) for k = 1 .. _STIRLING_TERMS: Stirling's series
+    log Gamma(z) ~ (z - 1/2) log z - z + log(2 pi)/2 + sum_k c_k z^(1-2k)."""
+    bern = _even_bernoulli()
+    return tuple(bern[k] / (2 * k * (2 * k - 1)) for k in range(1, _STIRLING_TERMS + 1))
 
 
 def hurwitz_zeta(s: complex, a: float) -> complex:
@@ -160,12 +229,8 @@ def hurwitz_zeta(s: complex, a: float) -> complex:
         # Bernoulli tail: sum_j B_{2j}/(2j)! * (s)_{2j-1} * x^{-s-2j+1}
         poch = s  # (s)_1
         xpow = cmath.exp((-s - 1) * logx)
-        for j in range(1, _EM_DEPTH + 1):
-            b = _bernoulli(2 * j)
-            fact = 1
-            for i in range(2, 2 * j + 1):
-                fact *= i
-            total += float(b) / fact * poch * xpow
+        for j, coeff in enumerate(_euler_maclaurin_coefficients(), 1):
+            total += coeff * poch * xpow
             poch *= (s + 2 * j - 1) * (s + 2 * j)
             xpow /= x * x
     except OverflowError:
@@ -204,12 +269,10 @@ def _dirichlet_L_at_1(psi: DirichletCharacter) -> complex:
     # The simple poles of zeta(s, a/N) cancel for nonprincipal psi; take the
     # finite parts: zeta(s,a) = 1/(s-1) - psi0(a) + O(s-1) with digamma.
     # Use the digamma formula L(1,psi) = -(1/N) sum psi(a) digamma(a/N).
-    import scipy.special as sp
-
     N = psi.modulus
     total = 0j
     for a in psi.units:
-        total += psi(a) * complex(sp.digamma(a / N))
+        total += psi(a) * _digamma(a / N)
     return -total / N
 
 

@@ -169,6 +169,16 @@ def test_verify_betalike_meets_tight_tol(capsys):
         assert case["rel_err"] is not None and case["rel_err"] <= 1e-9
 
 
+def test_verify_fe_meets_tight_tol(capsys):
+    # every fe case, the H integral included, is held to --tol itself
+    code, out, _ = run(capsys, "verify", "--suite", "fe", "--tol", "1e-10")
+    assert code == EXIT_OK
+    (suite,) = json.loads(out)["result"]["suites"]
+    for case in suite["cases"]:
+        assert case["rel_err"] is not None and case["rel_err"] <= 1e-10
+        assert case["pass"] is True
+
+
 def test_verify_oscillatory_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "oscillatory", "--tol", "1e-6")
     assert code == EXIT_OK
@@ -212,9 +222,8 @@ def child_env():
 
 @pytest.mark.parametrize("module", ["scipy.integrate", "scipy.special"])
 def test_cli_import_leaves_out_scipy_module(module):
-    # no quadrature route uses scipy.integrate, and scipy.special is imported
-    # by the Gamma/digamma paths on first use, so a cold CLI start pays for
-    # neither
+    # the package does not use scipy, so a cold CLI start pays for no part
+    # of it
     code = f"import sys, mirabolic.cli; print({module!r} in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True
@@ -223,9 +232,21 @@ def test_cli_import_leaves_out_scipy_module(module):
     assert out.stdout.strip() == "False"
 
 
-def test_chars_command_runs_without_scipy():
-    # -X importtime logs every module the run imports, one per stderr line
-    argv = ["chars", "--modulus", "12", "--index", "1", "--gauss", "--conductor", "--fft", "5"]
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chars", "--modulus", "12", "--index", "1", "--gauss", "--conductor", "--fft", "5"],
+        ["gamma", "--rep", "D2[0.1,0.5]+triv", "--functor", "sym2", "--eval", "1.5,2",
+         "--embedding"],
+        ["eis", "--n", "2", "--nu", "1", "--modulus", "5", "--char-index", "1", "--r-box", "1"],
+        ["verify", "--suite", "all"],
+    ],
+    ids=["chars", "gamma", "eis", "verify"],
+)
+def test_cli_command_runs_without_scipy(argv):
+    # -X importtime logs every module the run imports, one per stderr line;
+    # gamma and verify evaluate Gamma values, eis n=2 at nu=1 takes L(1, psi)
+    # through digamma
     out = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "mirabolic.cli", *argv],
         env=child_env(), capture_output=True, text=True,
@@ -236,7 +257,10 @@ def test_chars_command_runs_without_scipy():
         for line in out.stderr.splitlines()
         if line.startswith("import time:")
     ]
-    assert "mirabolic.characters" in imported
+    assert {"mirabolic.characters", "mirabolic.special"} <= set(imported)
     assert not [m for m in imported if m == "scipy" or m.startswith("scipy.")]
     result = json.loads(out.stdout)["result"]
-    assert result["conductor"] == 3 and "gauss_sum" in result and "fft" in result
+    if argv[0] == "chars":
+        assert result["conductor"] == 3 and "gauss_sum" in result and "fft" in result
+    if argv[0] == "verify":
+        assert result["pass"] is True

@@ -3,6 +3,8 @@ Dirichlet L against mpmath references (kept in pure-mpf arithmetic)."""
 
 import cmath
 import math
+import random
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -19,10 +21,13 @@ from mirabolic.special import (
     G_delta,
     G_delta_is_pole,
     G_delta_is_zero,
+    _euler_maclaurin_coefficients,
+    _stirling_coefficients,
     dirichlet_L,
     gamma_C,
     gamma_R,
     hurwitz_zeta,
+    log_gamma,
     residue_L_at_1,
     riemann_zeta,
 )
@@ -90,20 +95,74 @@ def test_overflow_is_typed(call):
     assert isinstance(ei.value, OverflowError)
 
 
+def _G_delta_ref(s, delta):
+    s = mp.mpc(s)
+    num = mp.pi ** (-(s + delta) / 2) * mp.gamma((s + delta) / 2)
+    den = mp.pi ** (-(1 - s + delta) / 2) * mp.gamma((1 - s + delta) / 2)
+    return complex(mp.mpc(1j) ** delta * num / den)
+
+
 def test_G_delta_against_mpmath():
     mp.mp.dps = 30
-
-    def ref(s, delta):
-        s = mp.mpc(s)
-        num = mp.pi ** (-(s + delta) / 2) * mp.gamma((s + delta) / 2)
-        den = mp.pi ** (-(1 - s + delta) / 2) * mp.gamma((1 - s + delta) / 2)
-        return mp.mpc(1j) ** delta * num / den
-
     for s in [0.3, 0.7 + 0.4j, -0.9 + 2j, 2.5 - 1j]:
         for d in (0, 1):
             got = G_delta(s, d)
-            want = complex(ref(s, d))
+            want = _G_delta_ref(s, d)
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_G_delta_left_half_plane_large_imaginary_part():
+    # G_delta is exp of a difference of two log Gamma values of size
+    # ~|s| log|s|, so rounding leaves a relative error of a few eps times
+    # that, plus ~1e-14 from the cancellation in log Gamma's recurrence near
+    # the origin.  No OverflowError either: a reflection formula applied at
+    # large |Im s| would overflow in sin(pi s).
+    mp.mp.dps = 40
+    rng = random.Random(5)
+    points = [complex(-1, 500)] + [
+        complex(rng.uniform(-20, 0), rng.choice((-1, 1)) * 10 ** rng.uniform(-1, 3))
+        for _ in range(60)
+    ]
+    for s in points:
+        for d in (0, 1):
+            got = G_delta(s, d)
+            want = _G_delta_ref(s, d)
+            bound = 2e-14 + 1e-14 * abs(s) * math.log(2 + abs(s))
+            assert abs(got - want) <= bound * abs(want), (s, d, got, want)
+
+
+def test_log_gamma_against_mpmath():
+    # value and branch: the principal branch continues the real log Gamma
+    # from s > 0 and is cut along the negative real axis, taking its values
+    # there from above, as mpmath.loggamma does; a branch error is a
+    # multiple of 2 pi i, far outside the bound
+    mp.mp.dps = 30
+    rng = random.Random(11)
+    points = [
+        complex(rng.uniform(-50, 50), rng.choice((-1, 1)) * 10 ** rng.uniform(-10, 3))
+        for _ in range(400)
+    ]
+    # the real axis: negative non-integers, (0, 1], and both zeros 1 and 2
+    points += [complex(k + rng.uniform(0.01, 0.99)) for k in range(-50, 50, 3)]
+    points += [complex(x) for x in (1e-8, 0.5, 1.0, 2.0, -0.5, -2.5, -49.5)]
+    # far left near the axis, where an upward recurrence would take ~|Re z| steps
+    points += [complex(-1e6, 0.3), complex(-7.5e5 + 0.5, -6.9), complex(-1e12, 3.0)]
+    for z in points:
+        want = complex(mp.loggamma(mp.mpc(z.real, z.imag)))
+        got = log_gamma(z)
+        assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (z, got, want)
+
+
+def test_series_coefficients_from_exact_bernoulli_numbers():
+    # the cached float tables against mpmath's exact Bernoulli fractions,
+    # each rounded once as the Euler-Maclaurin loop used to round them per
+    # call, so hurwitz_zeta is bit-identical to that loop
+    for j, coeff in enumerate(_euler_maclaurin_coefficients(), 1):
+        p, q = mp.bernfrac(2 * j)
+        assert coeff == float(Fraction(p, q)) / math.factorial(2 * j)
+    for k, coeff in enumerate(_stirling_coefficients(), 1):
+        p, q = mp.bernfrac(2 * k)
+        assert coeff == float(Fraction(p, q)) / (2 * k * (2 * k - 1))
 
 
 def test_hurwitz_zeta_against_mpmath():
@@ -172,3 +231,24 @@ def test_dirichlet_L_against_mpmath_nonprincipal():
                 want *= mp.power(N, -mp.mpc(s))
                 got = dirichlet_L(s, psi)
                 assert abs(got - complex(want)) < 1e-9 * max(1.0, abs(complex(want)))
+
+
+@pytest.mark.parametrize("N", [5, 12, 210])
+def test_dirichlet_L_at_1_against_mpmath(N):
+    # L(1, psi) by digamma against an independent route: the Hurwitz sum in
+    # mpmath just off the pole, s = 1 + 1e-30, with exact character values,
+    # so that the 1/(s-1) parts cancel to 1e-20
+    mp.mp.dps = 50
+    nonprincipal = [p for p in enumerate_characters(N) if not p.is_principal]
+    odd = [p for p in nonprincipal if p.parity == 1][:2]
+    even = [p for p in nonprincipal if p.parity == 0][:2]
+    assert odd and even
+    s = 1 + mp.mpf("1e-30")
+    for psi in odd + even:
+        want = mp.mpc(0)
+        for a, k in psi.exponents.items():
+            value = mp.expjpi(2 * mp.mpf(k.numerator) / k.denominator)
+            want += value * mp.zeta(s, mp.mpf(a) / N)
+        want = complex(want * mp.power(N, -s))
+        got = dirichlet_L(1.0, psi)
+        assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (N, psi.exponents, got, want)
