@@ -5,12 +5,15 @@ flags; complex flags are written `re` or `re,im`."""
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
+from typing import TYPE_CHECKING
 
-from . import __version__, characters, eisenstein, fe_verify, gamma_factors
+from . import __version__, gamma_factors
 from .errors import MirabolicError, ParseError, ToleranceNotMetError
+
+if TYPE_CHECKING:
+    from .eisenstein import EisParams
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -33,47 +36,81 @@ def _envelope(command: str, inputs: dict, result) -> dict:
 
 
 def _emit(env: dict, fmt: str) -> str:
+    """The envelope as JSON (the bytes of json.dumps(env, indent=2)) or as
+    CSV lines."""
     if fmt == "json":
-        return json.dumps(env, indent=2)
-    out = io.StringIO()
-    rows = _csv_rows(env["result"])
-    out.write(",".join(rows[0]) + "\n")
-    for row in rows[1:]:
-        out.write(",".join(row) + "\n")
-    return out.getvalue().rstrip("\n")
+        return _json(env, "")
+    result = env["result"]
+    if isinstance(result, dict) and "rows" in result:
+        # coefficient table: r components + value
+        lines = [",".join(result["columns"])]
+        for rec in result["rows"]:
+            value = rec["value"]
+            r = map(str, rec["r"])
+            lines.append(",".join([*r, _csv_num(value["re"]), _csv_num(value["im"])]))
+    else:
+        # generic fallback: flatten to key,value pairs
+        lines = ["key,value"]
+        _csv_walk("", result, lines)
+    return "\n".join(lines).rstrip("\n")
+
+
+# Leaf types that the C JSON encoder writes exactly as the indenting
+# pure-Python one does, and whose str() is the CSV value (str(x) is
+# repr(x) for a float).
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def _json(obj, pad: str) -> str:
+    """json.dumps(obj, indent=2) for obj nested at indent `pad`.  A container
+    whose values are all scalars goes to the C encoder in one call with the
+    indent folded into its item separator (indent= forces the pure-Python
+    encoder); only nested containers are walked here."""
+    if isinstance(obj, dict):
+        values, brackets = obj.values(), "{}"
+    elif isinstance(obj, (list, tuple)):
+        values, brackets = obj, "[]"
+    else:
+        return json.dumps(obj)
+    if not values:
+        return brackets
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if set(map(type, values)) <= _SCALARS:
+        body = json.dumps(obj, separators=(sep, ": "))[1:-1]
+    elif brackets == "{}":
+        # a non-str key is written as its JSON text, quoted
+        body = sep.join(
+            f"{json.dumps(k if isinstance(k, str) else json.dumps(k))}: {_json(v, inner)}"
+            for k, v in obj.items()
+        )
+    else:
+        body = sep.join(_json(v, inner) for v in obj)
+    return f"{brackets[0]}\n{inner}{body}\n{pad}{brackets[1]}"
 
 
 def _csv_num(x) -> str:
     return repr(float(x))
 
 
-def _csv_rows(result) -> list[list[str]]:
-    if isinstance(result, dict) and "rows" in result:
-        # coefficient table: r components + value
-        header = result["columns"]
-        rows = [header]
-        for rec in result["rows"]:
-            rows.append(
-                [str(x) for x in rec["r"]]
-                + [_csv_num(rec["value"]["re"]), _csv_num(rec["value"]["im"])]
-            )
-        return rows
-    # generic fallback: flatten to key,value pairs
-    rows = [["key", "value"]]
-
-    def walk(prefix, obj):
-        if isinstance(obj, dict):
-            for k, v in obj.items():
-                walk(f"{prefix}.{k}" if prefix else str(k), v)
-        elif isinstance(obj, list):
-            for i, v in enumerate(obj):
-                walk(f"{prefix}[{i}]", v)
+def _csv_walk(prefix: str, obj, lines: list[str]) -> None:
+    """Append the `key,value` lines of obj under `prefix`: dict keys joined
+    by dots, list indices in brackets; any other value is a leaf."""
+    if isinstance(obj, dict):
+        head = f"{prefix}." if prefix else ""
+        if set(map(type, obj.values())) <= _SCALARS:
+            lines += [f"{head}{k},{v}" for k, v in obj.items()]
         else:
-            val = _csv_num(obj) if isinstance(obj, float) else str(obj)
-            rows.append([prefix, val])
-
-    walk("", result)
-    return rows
+            for k, v in obj.items():
+                _csv_walk(f"{head}{k}", v, lines)
+    elif isinstance(obj, list):
+        if set(map(type, obj)) <= _SCALARS:
+            lines += [f"{prefix}[{i}],{v}" for i, v in enumerate(obj)]
+        else:
+            for i, v in enumerate(obj):
+                _csv_walk(f"{prefix}[{i}]", v, lines)
+    else:
+        lines.append(f"{prefix},{_csv_num(obj) if isinstance(obj, float) else str(obj)}")
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +118,8 @@ def _csv_rows(result) -> list[list[str]]:
 
 
 def cmd_chars(args) -> dict:
+    from . import characters
+
     N = args.modulus
     chars = characters.enumerate_characters(N)
     inputs = {"modulus": N}
@@ -112,7 +151,9 @@ def cmd_chars(args) -> dict:
 # eis
 
 
-def _eis_params(args) -> eisenstein.EisParams:
+def _eis_params(args) -> EisParams:
+    from . import characters, eisenstein
+
     chars = characters.enumerate_characters(args.modulus)
     if not 0 <= args.char_index < len(chars):
         raise ParseError(f"char index out of range (have {len(chars)})")
@@ -121,6 +162,8 @@ def _eis_params(args) -> eisenstein.EisParams:
 
 
 def cmd_eis(args) -> dict:
+    from . import eisenstein
+
     params = _eis_params(args)
     inputs = {
         "n": args.n,
@@ -225,6 +268,8 @@ def _finish(case: dict, tol: float) -> dict:
 
 
 def _suite_betalike(tol: float, cfg) -> list[dict]:
+    from . import fe_verify
+
     cases = []
     grid = [
         ((0.3, 0.4), (0, 0)),
@@ -246,6 +291,8 @@ def _suite_betalike(tol: float, cfg) -> list[dict]:
 
 
 def _suite_oscillatory(tol: float, cfg) -> list[dict]:
+    from . import fe_verify
+
     cases = []
     for eps in (0, 1):
         for d, k in ((1, 1), (2, 1), (1, 3)):
@@ -269,6 +316,7 @@ def _suite_oscillatory(tol: float, cfg) -> list[dict]:
 
 
 def _suite_fe(tol: float, cfg) -> list[dict]:
+    from . import characters, eisenstein, fe_verify
     from .special import G_delta
 
     cases = []
@@ -315,6 +363,8 @@ def _suite_fe(tol: float, cfg) -> list[dict]:
 
 def _suite_intertwine(tol: float, cfg) -> list[dict]:
     import numpy as np
+
+    from . import fe_verify
 
     tol = max(tol, 1e-2)
     cases = []
@@ -366,6 +416,8 @@ _SUITES = {
 
 
 def cmd_verify(args) -> tuple[dict, bool]:
+    from . import fe_verify
+
     tol = args.tol
     base = fe_verify.DEFAULT_QUAD
     cfg = fe_verify.QuadratureConfig(

@@ -13,6 +13,7 @@ expanded as Gamma_R(shift) Gamma_R(shift+1), the multiset sorted.
 
 from __future__ import annotations
 
+import cmath
 import re as _re
 from dataclasses import dataclass
 
@@ -326,17 +327,19 @@ _BLOCK_RE = _re.compile(r"(triv|sgn|D(\d+))(?:\[([^\]]*)\])?")
 
 
 def parse_complex(text: str, position: int | None = None) -> complex:
-    """A complex number written `re` or `re,im` (a CLI flag or a twist of
-    the rep grammar); ParseError, carrying position, when malformed."""
+    """A finite complex number written `re` or `re,im` (a CLI flag or a
+    twist of the rep grammar); ParseError, carrying position, when malformed
+    or when a part is inf or nan."""
     parts = text.split(",")
     try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
+        z = complex(*map(float, parts)) if len(parts) <= 2 else None
     except ValueError:
-        pass
-    raise ParseError(f"bad complex value {text!r} (expected re or re,im)", position)
+        z = None
+    if z is None:
+        raise ParseError(f"bad complex value {text!r} (expected re or re,im)", position)
+    if not cmath.isfinite(z):
+        raise ParseError(f"non-finite complex value {text!r}", position)
+    return z
 
 
 def parse_rep(text: str) -> IsobaricSum:

@@ -25,9 +25,12 @@ import cmath
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, comb, copysign, factorial, floor, lgamma, log, nan, pi
+from typing import TYPE_CHECKING
 
-from .characters import DirichletCharacter, euler_phi
 from .errors import NotPrincipalError, PoleError, ValueOverflowError
+
+if TYPE_CHECKING:
+    from .characters import DirichletCharacter
 
 _POLE_TOL = 1e-12
 _EM_MIN_TERMS = 30  # Euler-Maclaurin: at least this many terms summed directly
@@ -43,6 +46,7 @@ def _is_nonpositive_even_integer(z: complex) -> bool:
     return (
         abs(z.imag) < _POLE_TOL
         and z.real < _POLE_TOL
+        and cmath.isfinite(z)  # round() raises on an infinite real part
         and abs(z.real / 2 - round(z.real / 2)) < _POLE_TOL
     )
 
@@ -51,6 +55,7 @@ def _is_nonpositive_integer(z: complex) -> bool:
     return (
         abs(z.imag) < _POLE_TOL
         and z.real < _POLE_TOL
+        and cmath.isfinite(z)  # round() raises on an infinite real part
         and abs(z.real - round(z.real)) < _POLE_TOL
     )
 
@@ -278,6 +283,8 @@ def _dirichlet_L_at_1(psi: DirichletCharacter) -> complex:
 
 def residue_L_at_1(psi: DirichletCharacter) -> float:
     """Residue of L(s, psi) at s=1 for principal psi: phi(N)/N."""
+    from .characters import euler_phi
+
     if not psi.is_principal:
         raise NotPrincipalError("residue defined only for principal characters")
     return euler_phi(psi.modulus) / psi.modulus

@@ -2,17 +2,21 @@
 
 main() is exercised in-process with capsys; fast suites only."""
 
+import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mirabolic
 from mirabolic import __version__
-from mirabolic.cli import EXIT_DOMAIN, EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
+from mirabolic.cli import EXIT_DOMAIN, EXIT_FAIL, EXIT_OK, EXIT_USAGE, _emit, main
 
 
 def run(capsys, *argv):
@@ -121,6 +125,13 @@ def test_gamma_parse_error_exit(capsys):
     code, out, err = run(capsys, "gamma", "--rep", "bogus")
     assert code == EXIT_USAGE
     assert "error:" in err
+
+
+@pytest.mark.parametrize("flag", ["--eval=-inf", "--eval=nan", "--eval=1,inf"])
+def test_gamma_non_finite_eval_is_usage_error(capsys, flag):
+    code, out, err = run(capsys, "gamma", "--rep", "triv", flag)
+    assert code == EXIT_USAGE and out == ""
+    assert "non-finite" in err
 
 
 def test_gamma_embedding_and_validate(capsys):
@@ -257,10 +268,155 @@ def test_cli_command_runs_without_scipy(argv):
         for line in out.stderr.splitlines()
         if line.startswith("import time:")
     ]
-    assert {"mirabolic.characters", "mirabolic.special"} <= set(imported)
+    # gamma needs no character, so it leaves out characters (and numpy)
+    required = {"mirabolic.special"}
+    if argv[0] != "gamma":
+        required.add("mirabolic.characters")
+    assert required <= set(imported)
     assert not [m for m in imported if m == "scipy" or m.startswith("scipy.")]
     result = json.loads(out.stdout)["result"]
     if argv[0] == "chars":
         assert result["conductor"] == 3 and "gauss_sum" in result and "fft" in result
     if argv[0] == "verify":
         assert result["pass"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gamma", "--rep", "D2[0.1,0.5]+triv", "--functor", "sym2", "--eval", "1.5,2",
+         "--embedding"],
+    ],
+    ids=["gamma"],
+)
+def test_cli_command_runs_without_numpy(argv):
+    # the Gamma-factor calculus is pure Python, so a gamma run pays for no
+    # numpy import; -X importtime logs every module the run imports
+    out = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "mirabolic.cli", *argv],
+        env=child_env(), capture_output=True, text=True,
+    )
+    assert out.returncode == EXIT_OK, f"child CLI failed:\n{out.stderr}"
+    imported = [
+        line.rsplit("|", 1)[-1].strip()
+        for line in out.stderr.splitlines()
+        if line.startswith("import time:")
+    ]
+    assert "mirabolic.gamma_factors" in imported
+    assert not [m for m in imported if m == "numpy" or m.startswith("numpy.")]
+    assert "value" in json.loads(out.stdout)["result"]
+
+
+def test_package_import_leaves_out_numpy():
+    # the package and the CLI module load their layers lazily
+    code = (
+        "import sys; import mirabolic; a = 'numpy' in sys.modules; "
+        "import mirabolic.cli; print(a, 'numpy' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True
+    )
+    assert out.returncode == 0, f"child interpreter failed:\n{out.stderr}"
+    assert out.stdout.split() == ["False", "False"]
+
+
+# ---------------------------------------------------------------------------
+# _emit against the emitters it replaced: json.dumps(env, indent=2) and the
+# row-list CSV walk below, byte for byte
+
+
+def reference_csv_rows(result) -> list[list[str]]:
+    def num(x):
+        return repr(float(x))
+
+    if isinstance(result, dict) and "rows" in result:
+        header = result["columns"]
+        rows = [header]
+        for rec in result["rows"]:
+            rows.append(
+                [str(x) for x in rec["r"]] + [num(rec["value"]["re"]), num(rec["value"]["im"])]
+            )
+        return rows
+    rows = [["key", "value"]]
+
+    def walk(prefix, obj):
+        if isinstance(obj, dict):
+            for k, v in obj.items():
+                walk(f"{prefix}.{k}" if prefix else str(k), v)
+        elif isinstance(obj, list):
+            for i, v in enumerate(obj):
+                walk(f"{prefix}[{i}]", v)
+        else:
+            rows.append([prefix, num(obj) if isinstance(obj, float) else str(obj)])
+
+    walk("", result)
+    return rows
+
+
+def reference_csv(result) -> str:
+    return "".join(",".join(row) + "\n" for row in reference_csv_rows(result)).rstrip("\n")
+
+
+json_scalars = st.one_of(
+    st.text(),
+    st.sampled_from(['"', "\\", "\n", '"quoted"', "tab\there", "\u00e9", "\u2028", "\x00", ""]),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0]),
+)
+json_trees = st.recursive(
+    json_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.dictionaries(st.one_of(st.text(), st.integers()), children, max_size=5),
+    ),
+    max_leaves=25,
+)
+coefficient_tables = st.builds(
+    lambda rows: {"columns": ["r1", "re", "im"], "rows": rows},
+    st.lists(
+        st.builds(
+            lambda r, re, im: {"r": [r], "value": {"re": re, "im": im}},
+            st.integers(-5, 5), st.floats(), st.floats(),
+        ),
+        max_size=5,
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_trees)
+def test_emit_json_matches_indenting_encoder(result):
+    env = {"version": __version__, "command": "x", "inputs": {}, "result": result}
+    assert _emit(env, "json") == json.dumps(env, indent=2)
+    assert _emit(result, "json") == json.dumps(result, indent=2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        # a top-level "rows" key selects the coefficient-table layout
+        json_trees.filter(lambda t: not (isinstance(t, dict) and "rows" in t)),
+        coefficient_tables,
+    )
+)
+def test_emit_csv_matches_row_walk(result):
+    env = {"version": __version__, "command": "x", "inputs": {}, "result": result}
+    assert _emit(env, "csv") == reference_csv(result)
+
+
+@pytest.mark.parametrize(
+    ("argv", "digest"),
+    [
+        (["chars", "--modulus", "1000", "--list"], "2be5b21da6d2eb1f"),
+        (["--format", "csv", "chars", "--modulus", "1100", "--list"], "db0776a942e574b5"),
+    ],
+    ids=["json", "csv"],
+)
+def test_chars_list_output_is_pinned(capsys, argv, digest):
+    # sha256 prefixes of stdout recorded from the row-walk / indent=2 emitters
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest

@@ -204,6 +204,15 @@ def test_parse_rep_errors():
         assert e.position == 5
 
 
+@pytest.mark.parametrize(
+    ("text", "position"), [("triv[inf]", 0), ("D2+sgn[1,nan]", 3), ("triv+D2[-inf,0]", 5)]
+)
+def test_parse_rep_rejects_non_finite_twist(text, position):
+    with pytest.raises(ParseError, match="non-finite") as info:
+        parse_rep(text)
+    assert info.value.position == position
+
+
 sum_st = st.lists(
     st.one_of(
         st.builds(triv, st.floats(-1, 1, allow_nan=False)),

@@ -153,6 +153,16 @@ def test_log_gamma_against_mpmath():
         assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (z, got, want)
 
 
+@pytest.mark.parametrize(
+    "z",
+    [-math.inf, complex(-math.inf, 0), math.inf, complex(0, math.inf), math.nan],
+    ids=["-inf", "-inf+0j", "inf", "inf*1j", "nan"],
+)
+def test_log_gamma_of_non_finite_input_is_nan(z):
+    # the pole test must not round an infinite real part
+    assert cmath.isnan(log_gamma(z))
+
+
 def test_series_coefficients_from_exact_bernoulli_numbers():
     # the cached float tables against mpmath's exact Bernoulli fractions,
     # each rounded once as the Euler-Maclaurin loop used to round them per
