@@ -3,10 +3,10 @@
 The closed forms here are ratios/products of G_delta factors (Gauss-sum and
 level powers included where relevant); each one is paired with an independent
 numerical route.  Every route runs on one rule, from mirabolic.panels:
-composite 21-point Gauss-Kronrod panels on numpy arrays, graded
-geometrically toward each |x-a|^{p-1} endpoint, with the last panel
-integrated against the exact kernel mass, and adaptive bisection of the
-panels whose embedded estimate is too large.  A line integral is cut into
+composite 21-point Gauss-Kronrod panels on numpy arrays, with the panel at
+each |x-a|^{p-1} endpoint integrated by exact Legendre moments of the
+kernel, and adaptive refinement of the panels whose estimate is too
+large.  A line integral is cut into
 pieces at its singular points, evaluated at exact offsets from them, with
 the tails mapped by x = a +- R/u; the conditionally convergent oscillatory
 integral switches to repeated integration by parts past a cutoff.  The n=3
@@ -45,7 +45,7 @@ from .panels import graded_integrals
 from .special import G_delta, G_delta_is_zero
 
 _TWO_PI_I = 2j * math.pi
-_MAX_PANELS = 200  # Gauss-Kronrod panels per piece of the graded rule
+_MAX_PANELS = 200  # panels per piece of the graded rule
 _OSC_CUTOFF = 10.0  # periods integrated directly before the by-parts tail
 _OSC_PARTS = 8  # integrations by parts in the oscillatory tail
 _PAIR_NORM_TOL = 1e-9  # |sum lambda| accepted as zero by the pairing scalars
@@ -57,8 +57,8 @@ _FAR = 60.0
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances for the quadrature oracles, which all run on the graded
-    Gauss-Kronrod rule of mirabolic.panels."""
+    """Tolerances for the quadrature oracles, which all run on the panel
+    rule of mirabolic.panels."""
 
     abs_tol: float = 1e-9
     rel_tol: float = 1e-7
@@ -171,8 +171,8 @@ def _line_pieces(sp: SingularProduct) -> _Pieces:
 
 
 def integrate_product_line(sp: SingularProduct, cfg: QuadratureConfig):
-    """Integrate a SingularProduct over the whole real line, on the graded
-    Gauss-Kronrod rule of mirabolic.panels.
+    """Integrate a SingularProduct over the whole real line, on the panel
+    rule of mirabolic.panels.
 
     |sp(x)| decays like |x|^{Re sum(beta_i - 1)} at infinity; raises
     ConvergenceRegionError unless that exponent is < -1.  Returns
@@ -182,8 +182,8 @@ def integrate_product_line(sp: SingularProduct, cfg: QuadratureConfig):
     P = _line_pieces(sp)
 
     def phi(idx, h):
-        d = P.A[idx] + P.B[idx] * h[:, None]
-        return P.c[idx] * _power_product(d, sp.betas, sp.etas), None
+        d = P.A[idx][:, None] + P.B[idx][:, None] * h[..., None]
+        return P.c[idx][:, None] * _power_product(d, sp.betas, sp.etas), None
 
     val, est = graded_integrals(
         phi, P.L, np.zeros(P.L.size), P.s, P.row, 1,
@@ -445,7 +445,7 @@ def oscillatory_integral(
     c = np.array([1.0, (-1.0) ** (epsilon % 2)])
 
     def phi(idx, h):
-        return c[idx] * np.exp(_TWO_PI_I * m * dirs[idx] * h), None
+        return c[idx][:, None] * np.exp(_TWO_PI_I * m * dirs[idx][:, None] * h), None
 
     near, est = graded_integrals(
         phi, np.full(2, X), np.zeros(2), np.full(2, w + 1), np.zeros(2, int), 1,
@@ -578,13 +578,13 @@ def _apply_batch(fs, nu, epsilon, y, which, a, b, abs_tol, rel_tol):
         fn = ws[owner]
 
         def phi(idx, h):
-            w = e[idx] + dirs[idx] * h
-            out = np.empty(h.size, complex)
+            w = e[idx][:, None] + dirs[idx][:, None] * h
+            out = np.empty(h.shape, complex)
             for n, func in enumerate(fs):
                 m = fn[idx] == n
                 if m.any():
                     out[m] = func(w[m])
-            return c[idx] * out, None
+            return c[idx][:, None] * out, None
 
         s = np.full(L.size, nu)
         val[i : i + step], err[i : i + step] = graded_integrals(
@@ -642,18 +642,20 @@ def intertwine_compose_n2(
     with A the antiderivative (-1)^eps sgn(u)^{eps+1} |u|^{-nu}/(-nu) of K,
     whose u = 0 boundary terms continue to zero; g' = -I~_nu f' comes from
     f.derivative.  Beyond the window the outer integral runs to +-far,
-    far = _FAR = 60, and past that g is continued by its asymptote
-    g(+-far) (|z|/far)^{nu-1}, whose tail integrals are in closed form;
-    this leaves an O(far^-2) model error, which the error estimate does
-    not cover.
+    far = _FAR = 60 at first, and past that g is continued by its two-term
+    asymptote |z|^{nu-1} (A + B/|z|), fitted to g and g' at +-far, whose
+    tail integrals are in closed form.  The B terms are the last correction
+    taken; their size is the model error estimate, and it is part of the
+    error estimate.
 
     g and g' are computed for a whole batch of outer nodes at once, with
     inner tolerances a hundredth of cfg's, and their error estimates are
     carried through the outer weights.  Each value is certified against the
     summed error estimate of its pieces; when that misses the tolerance, the
     point is computed once more with inner tolerances tightened by the
-    factor missed.  The operator is a scalar multiple of the identity; only
-    ratios to the input are meaningful."""
+    factor missed and far moved out until the model error, O(far^-3), is
+    an eighth of the tolerance.  The operator is a scalar multiple of the
+    identity; only ratios to the input are meaningful."""
     nu = complex(nu)
     if not 0 < nu.real < 1:
         raise ConvergenceRegionError("composition probe needs 0 < Re nu < 1")
@@ -661,17 +663,30 @@ def intertwine_compose_n2(
     f_prime = getattr(f, "derivative", None)
     if f_prime is None:
         raise ValueError("f must provide a .derivative method")
-    R, far = _WINDOW, _FAR
+    R = _WINDOW
     sign = (-1.0) ** (epsilon % 2)
 
-    def tail_integral(x):
-        # int_far^inf (z/far)^{nu-1} (z + x)^{-nu-1} dz, |x| < far
+    def tail_integrals(x, far):
+        # T_j = int_far^inf (z/far)^{nu-1-j} (z + x)^{-nu-1} dz, j = 0, 1,
+        # |x| < far.  With z = far w and r = x/far, T_j far^nu is
+        # sum_n binom(-nu-1, n) r^n / (n+1+j), or in closed form an integral
+        # of powers of u = w/(w + r) from 1/(1+r) to 1, which cancels for
+        # small r
         r = x / far
-        if r == 0:
-            return far**-nu
-        return far**-nu * complex(np.expm1(-nu * math.log1p(r))) / (-nu * r)
+        if abs(r) < 0.5:
+            t0 = t1 = 0j
+            c = 1 + 0j
+            for n in range(60):
+                t0 += c / (n + 1)
+                t1 += c / (n + 2)
+                c *= (-nu - 1 - n) / (n + 1) * r
+        else:
+            log1p = math.log1p(r)
+            e0, e1 = complex(np.expm1(-nu * log1p)), complex(np.expm1((1 - nu) * log1p))
+            t0, t1 = -e0 / (nu * r), (e0 / nu - e1 / (nu - 1)) / (r * r)
+        return far**-nu * t0, far**-nu * t1
 
-    def point(x, share):
+    def point(x, share, far):
         def inner(z, which):
             # which = 0: g(z); which = 1: g'(z) = -(I~_nu f')(z)
             v, e = _apply_batch(
@@ -680,12 +695,27 @@ def intertwine_compose_n2(
             )
             return np.where(which == 1, -v, v), e
 
-        g, ge = inner(np.array([-x + R, -x - R, far, -far]), np.zeros(4, int))
+        g, ge = inner(
+            np.array([-x + R, -x - R, far, -far, far, -far]), np.array([0, 0, 0, 0, 1, 1])
+        )
         # [g(-x+u) A(u)]_{-R}^{R}, A(R) = sign R^-nu/(-nu), A(-R) = R^-nu/nu
         aR = R**-nu / nu
-        t_r, t_l = tail_integral(x), tail_integral(-x)
-        known = -sign * aR * g[0] - aR * g[1] + sign * g[2] * t_r + g[3] * t_l
-        known_err = abs(aR) * (ge[0] + ge[1]) + abs(t_r) * ge[2] + abs(t_l) * ge[3]
+        known = -sign * aR * g[0] - aR * g[1]
+        known_err = abs(aR) * (ge[0] + ge[1])
+        # the tails |z| > far: g(+-u) = (u/far)^{nu-1} (P + Q (far/u - 1)) for
+        # u >= far, the two-term asymptote with P = g(+-far) and
+        # Q = (nu-1) g(+-far) -+ far g'(+-far), against the kernel
+        # (u -+ x)^{-nu-1} (times sign on the right); the Q terms are the
+        # last correction taken, and their sum is the model error estimate
+        model = 0j
+        for i, k, d in ((2, sign, 1.0), (3, 1.0, -1.0)):
+            t0, t1 = tail_integrals(d * x, far)
+            Q = (nu - 1) * g[i] - d * far * g[i + 2]
+            known += k * g[i] * t0
+            model += k * Q * (t1 - t0)
+            known_err += abs(t0) * ge[i] + abs(t1 - t0) * (abs(nu - 1) * ge[i] + far * ge[i + 2])
+        known += model
+        known_err += abs(model)
         # -int_0^R g'(-x+-h) A(+-h) dh, then g(z) K(-x-z) over [-x+R, far] and
         # [-far, -x-R], each as int_0^L phi(h) (d0 + h)^{s-1} dh
         e = np.array([-x, -x, -x + R, -x - R])
@@ -694,8 +724,9 @@ def intertwine_compose_n2(
         of_derivative = np.array([1, 1, 0, 0])
 
         def phi(idx, h):
-            v, ve = inner(e[idx] + dirs[idx] * h, of_derivative[idx])
-            return c[idx] * v, np.abs(c[idx]) * ve
+            z = e[idx][:, None] + dirs[idx][:, None] * h
+            v, ve = inner(z.ravel(), np.repeat(of_derivative[idx], h.shape[1]))
+            return c[idx][:, None] * v.reshape(h.shape), np.abs(c[idx])[:, None] * ve.reshape(h.shape)
 
         val, err = graded_integrals(
             phi,
@@ -710,16 +741,19 @@ def intertwine_compose_n2(
             base=known,
             chunk=21 * 12,  # each outer node is a batch of inner integrals
         )
-        return val[0] + known, err[0] + known_err
+        return val[0] + known, err[0] + known_err, abs(model)
 
     out, est = [], []
     for x in np.asarray(x_grid, dtype=float).ravel():
-        if not abs(x) < far - R:
-            raise ValueError(f"need |x| < {far - R:g}")
-        v, e = point(x, 1e-2)
+        if not abs(x) < _FAR - R:
+            raise ValueError(f"need |x| < {_FAR - R:g}")
+        v, e, model = point(x, 1e-2, _FAR)
         tol = max(cfg.abs_tol, cfg.rel_tol * abs(v))
         if not e <= tol:
-            v, e = point(x, 1e-2 * min(1e-2, tol / (4 * e)))
+            # tighten the inner tolerances by the factor missed, and move far
+            # out until the O(far^-3) model error is an eighth of tol
+            far = _FAR * max(1.0, (8 * model / tol) ** (1 / 3))
+            v, e, _ = point(x, 1e-2 * min(1e-2, tol / (4 * e)), far)
         out.append(v)
         est.append(e)
     out, est = np.asarray(out, dtype=complex), np.asarray(est)

@@ -1,12 +1,18 @@
-"""Graded Gauss-Kronrod panels on numpy arrays: the singular-endpoint rule
-of every quadrature in mirabolic.fe_verify.
+"""Gauss-Kronrod panels and an endpoint moment rule on numpy arrays: the
+singular-endpoint rule of every quadrature in mirabolic.fe_verify.
 
 graded_integrals integrates a whole batch of pieces
 int_0^L phi(h) (d0 + h)^{s-1} dh at once, phi smooth and evaluated on numpy
-arrays, the kernel singular at h = -d0 <= 0.  Panels are graded
-geometrically toward h = 0, each carries the embedded |K21 - G10| error
-estimate of the 21-point Gauss-Kronrod pair, and the last panel at a
-singular endpoint is integrated against the exact kernel mass.
+arrays, the kernel singular at h = -d0 <= 0.  Away from h = 0 the pieces
+run on 21-point Gauss-Kronrod panels, each with the embedded |K21 - G10|
+error estimate.  Where the kernel is singular at the endpoint itself
+(d0 = 0), the panel [0, delta] is a product-integration rule in the manner
+of QUADPACK's QAWS (modified moments; Piessens et al., QUADPACK, 1983):
+phi is expanded in shifted Legendre polynomials from its values at 12
+Gauss-Legendre nodes, and each polynomial is integrated against h^{s-1}
+exactly, by the closed-form moments of _legendre_moments.  Its error
+estimate is the part of that sum carried by the upper half of the
+expansion.
 """
 
 from __future__ import annotations
@@ -48,6 +54,32 @@ _GAUSS_W[11:20:2] = _GK_WG[::-1]
 # imaginary parts, as numpy has no fast complex-by-real matrix product
 _KG_MATRIX = np.stack([_KRONROD_W, _KRONROD_W - _GAUSS_W], axis=1)
 
+# The 12-point Gauss-Legendre rule on [-1, 1]: nodes x > 0 in descending
+# order and their weights.
+_GL_X = np.array([
+    0.981560634246719250690549090149281, 0.904117256370474856678465866119096,
+    0.769902674194304687036893833212818, 0.587317954286617447296702418940534,
+    0.367831498998180193752691536643718, 0.125233408511468915472441369463853,
+])
+_GL_W = np.array([
+    0.0471753363865118271946159614850171, 0.106939325995318430960254718193996,
+    0.160078328543346226334652529543359, 0.203167426723065921749064455809798,
+    0.233492536538354808760849898924878, 0.249147045813402785000562436042951,
+])
+_M = 2 * _GL_X.size
+_x = np.concatenate([-_GL_X, _GL_X[::-1]])
+# the nodes on [0, 1] in ascending order, t = (1 + x)/2
+_MOMENT_T = 0.5 * (1 + _x)
+# _LEGENDRE[k, j] = (2k + 1) w_j P_k(x_j), with w_j the weights on [0, 1]:
+# phi at the nodes t_j -> the coefficients c_k of phi = sum c_k P_k(2t - 1);
+# P_k by the three-term recurrence (k+1) P_{k+1} = (2k+1) x P_k - k P_{k-1}
+_LEGENDRE = np.empty((_M, _M))
+_LEGENDRE[0], _LEGENDRE[1] = 1.0, _x
+for _k in range(1, _M - 1):
+    _LEGENDRE[_k + 1] = ((2 * _k + 1) * _x * _LEGENDRE[_k] - _k * _LEGENDRE[_k - 1]) / (_k + 1)
+_LEGENDRE *= (2 * np.arange(_M) + 1)[:, None] * 0.5 * np.concatenate([_GL_W, _GL_W[::-1]])
+del _x, _k
+
 # nodes per vectorized evaluation.  At 8192 the temporaries of one chunk
 # (128 KiB complex arrays) outgrew glibc's heap trim threshold, so the heap
 # top was returned after every chunk and faulted back in on the next (~23k
@@ -56,6 +88,8 @@ _KG_MATRIX = np.stack([_KRONROD_W, _KRONROD_W - _GAUSS_W], axis=1)
 _CHUNK = 1 << 12
 # relative rounding error of a panel sum, as in QUADPACK: 50 eps
 _ROUNDING = 50 * np.finfo(float).eps
+# Gauss-Kronrod panels graded by 1/4 ahead of the first endpoint panel
+_START_DEPTH = 2
 
 
 def _kernel_powers(d, s):
@@ -70,60 +104,73 @@ def _kernel_powers(d, s):
     return k
 
 
-def _kernel_mass(delta, d0, s):
-    """int_0^delta (d0 + h)^(s-1) dh elementwise, for d0 >= 0 (Re s > 0
-    where d0 = 0); written with expm1/log1p so it stays exact for d0 >> delta."""
-    at_zero = d0 == 0
-    d = np.where(at_zero, 1.0, d0)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        shifted = d**s * np.expm1(s * np.log1p(delta / d)) / s
-        return np.where(at_zero, delta**s / s, shifted)
+def _legendre_moments(s):
+    """mu_k(s) = int_0^1 P_k(2t - 1) t^(s-1) dt for k < 12, Re s > 0, in
+    the last axis: mu_k = prod_{j=1..k} (s - j) / prod_{j=0..k} (s + j),
+    exact for complex s."""
+    s = np.asarray(s, dtype=complex)[..., None]
+    k = np.arange(1, _M)
+    return np.cumprod(np.concatenate([1 / s, (s - k) / (s + k)], axis=-1), axis=-1)
+
+
+def _gauss_kronrod(phi, lo, hi, p, d0, s):
+    """Value, |K21 - G10|, absolute mass and carried phi error of the
+    Gauss-Kronrod panels [lo, hi] of pieces p."""
+    half = 0.5 * (hi - lo)
+    h = (0.5 * (hi + lo))[:, None] + half[:, None] * _KRONROD_X
+    fv, fe = phi(p, h)
+    # per-panel d0 and s broadcast over the 21 nodes of each row
+    k = _kernel_powers(d0[p][:, None] + h, s[p][:, None])
+    fk = fv * k
+    re, im = fk.real @ _KG_MATRIX, fk.imag @ _KG_MATRIX
+    carried = 0.0 if fe is None else half * ((np.abs(k) * fe) @ _KRONROD_W)
+    return (
+        half * (re[:, 0] + 1j * im[:, 0]),
+        half * np.hypot(re[:, 1], im[:, 1]),
+        half * (np.abs(fk) @ _KRONROD_W),
+        carried,
+    )
+
+
+def _endpoint_moments(phi, lo, delta, p, d0, s):
+    """Value, expansion-tail estimate, absolute mass and carried phi error
+    of the endpoint panels int_0^delta phi(p, h) h^(s_p - 1) dh (lo and
+    d0_p are 0): delta^s sum_k c_k mu_k(s), c_k the shifted Legendre
+    coefficients of phi on [0, delta], with |delta^s sum_{k >= 6} c_k
+    mu_k(s)| as estimate."""
+    fv, fe = phi(p, delta[:, None] * _MOMENT_T)
+    mu = _legendre_moments(s[p])
+    scale = (delta * _kernel_powers(delta, s[p]))[:, None]  # delta^s
+    w = scale * (mu @ _LEGENDRE)
+    w_tail = scale * (mu[:, _M // 2 :] @ _LEGENDRE[_M // 2 :])
+    aw = np.abs(w)
+    carried = 0.0 if fe is None else (aw * fe).sum(axis=1)
+    return (
+        (w * fv).sum(axis=1),
+        np.abs((w_tail * fv).sum(axis=1)),
+        (aw * np.abs(fv)).sum(axis=1),
+        carried,
+    )
 
 
 def _eval_panels(phi, lo, hi, pid, end, d0, s, chunk):
     """Value, quadrature error estimate, total error estimate and absolute
-    mass of each panel of int phi(pid, h) (d0 + h)^(s-1) dh over [lo, hi].
-
-    A Gauss-Kronrod panel estimates its error by |K21 - G10|.  An endpoint
-    panel [0, hi] takes phi as constant, phi(0), against the exact kernel
-    mass, and estimates the error by |phi(hi) - phi(0)| times the mass of
-    |kernel|.  The total estimate is at least the rounding floor
+    mass of each panel of int phi(pid, h) (d0 + h)^(s-1) dh over [lo, hi]:
+    Gauss-Kronrod panels, and the moment rule on the endpoint panels (end,
+    lo = d0 = 0).  The total estimate is at least the rounding floor
     _ROUNDING * mass, plus the error bounds that phi reports for its own
     values, carried through the weights."""
     v = np.empty(lo.size, complex)
     q = np.empty(lo.size)
     e = np.empty(lo.size)
     mass = np.empty(lo.size)
-    idx = np.flatnonzero(~end)
-    rows = max(1, chunk // 21)
-    for i in range(0, idx.size, rows):
-        j = idx[i : i + rows]
-        p = pid[j]
-        half = 0.5 * (hi[j] - lo[j])
-        h = (0.5 * (hi[j] + lo[j]))[:, None] + half[:, None] * _KRONROD_X
-        fv, fe = phi(np.repeat(p, 21), h.ravel())
-        # per-panel d0 and s broadcast over the 21 nodes of each row
-        k = _kernel_powers(d0[p][:, None] + h, s[p][:, None])
-        fk = fv.reshape(-1, 21) * k
-        re, im = fk.real @ _KG_MATRIX, fk.imag @ _KG_MATRIX
-        v[j] = half * (re[:, 0] + 1j * im[:, 0])
-        q[j] = half * np.hypot(re[:, 1], im[:, 1])
-        mass[j] = half * (np.abs(fk) @ _KRONROD_W)
-        e[j] = np.maximum(q[j], _ROUNDING * mass[j])
-        if fe is not None:
-            e[j] += half * ((np.abs(k) * fe.reshape(-1, 21)) @ _KRONROD_W)
-    j = np.flatnonzero(end)
-    if j.size:
-        pj = pid[j]
-        fv, fe = phi(np.concatenate([pj, pj]), np.concatenate([0 * hi[j], hi[j]]))
-        f0, f1 = fv[: j.size], fv[j.size :]
-        bound = _kernel_mass(hi[j], d0[pj], s[pj].real)
-        v[j] = f0 * _kernel_mass(hi[j], d0[pj], s[pj])
-        q[j] = np.abs(f1 - f0) * bound
-        mass[j] = np.abs(f0) * bound
-        e[j] = np.maximum(q[j], _ROUNDING * mass[j])
-        if fe is not None:
-            e[j] += fe[: j.size] * bound
+    for rule, at_end, nodes in ((_gauss_kronrod, False, 21), (_endpoint_moments, True, _M)):
+        idx = np.flatnonzero(end == at_end)
+        rows = max(1, chunk // nodes)
+        for i in range(0, idx.size, rows):
+            j = idx[i : i + rows]
+            v[j], q[j], mass[j], carried = rule(phi, lo[j], hi[j], pid[j], d0, s)
+            e[j] = np.maximum(q[j], _ROUNDING * mass[j]) + carried
     return v, q, e, mass
 
 
@@ -132,26 +179,25 @@ def graded_integrals(phi, L, d0, s, group, n_groups, abs_tol, rel_tol,
     """Sum over the pieces i of each group of int_0^{L_i} phi(i, h)
     (d0_i + h)^{s_i - 1} dh, for a whole batch of pieces at once.
 
-    phi(idx, h) evaluates the smooth factor of piece idx[j] at offset h[j]
-    on numpy arrays and returns (values, error bounds of the values or
-    None).  Each piece starts on panels graded geometrically
-    (ratio 1/4) toward h = 0: down to an endpoint panel whose size follows
-    from rel_tol when the kernel is singular there (d0 below that size),
-    else down to the scale d0.  Panels whose Gauss-Kronrod estimate is too
-    large for their group's tolerance max(abs_tol, rel_tol*|sum + base|)
-    are split until every group meets it (or, when that is tighter than
-    the rounding error of the group's sum, meets that) or a piece has
-    max_panels panels.
+    phi(idx, h) evaluates the smooth factor on numpy arrays: idx holds one
+    piece per panel, h the nodes of those panels (one row each); it returns
+    (values, error bounds of the values or None), both shaped like h.
+
+    A piece singular at its endpoint (d0 = 0, which needs Re s > 0) starts
+    as Gauss-Kronrod panels [L/4, L] and [L/16, L/4] and the endpoint panel
+    [0, L/16], which is integrated by Legendre moments against the exact
+    kernel (see _endpoint_moments); any other piece starts as Gauss-Kronrod
+    panels graded geometrically (ratio 1/4) toward h = 0 down to the scale
+    d0.  Panels whose estimate is too large for their group's tolerance
+    max(abs_tol, rel_tol*|sum + base|) are refined until every group meets
+    it (or, when that is tighter than the rounding error of the group's
+    sum, meets that) or a piece has max_panels panels: a Gauss-Kronrod
+    panel is bisected, an endpoint panel [0, h] becomes the endpoint panel
+    [0, h/4] and the Gauss-Kronrod panel [h/4, h].
     Returns (values, error estimates) per group."""
-    # phi(h) - phi(0) = O(h), so an endpoint panel [0, tau L] leaves a
-    # relative error of order tau^(1+p)
-    p = np.maximum(s.real, 0.0)
-    tau = (rel_tol / 8) ** (1 / (1 + p))
-    analytic = d0 < L * tau
+    singular = d0 == 0
     depth = np.where(
-        analytic,
-        np.ceil(np.log2(1 / tau) / 2),
-        np.ceil(np.log2(L / np.maximum(d0, L * tau)) / 2),
+        singular, _START_DEPTH, np.ceil(np.log2(L / np.where(singular, L, d0)) / 2)
     )
     depth = np.clip(depth, 1, min(60, max(1, max_panels - 1))).astype(int)
     pid = np.repeat(np.arange(L.size), depth + 1)
@@ -160,7 +206,7 @@ def graded_integrals(phi, L, d0, s, group, n_groups, abs_tol, rel_tol,
     hi = L[pid] * 0.25**k
     last = k == depth[pid]
     lo = np.where(last, 0.0, hi / 4)
-    end = last & analytic[pid]
+    end = last & singular[pid]
     new = [lo, hi, pid, end]
     lo, hi, pid, end = lo[:0], hi[:0], pid[:0], end[:0]
     val = np.empty(0, complex)
@@ -194,14 +240,12 @@ def graded_integrals(phi, L, d0, s, group, n_groups, abs_tol, rel_tol,
         keep = ~mark
         lo, hi, pid, end = lo[keep], hi[keep], pid[keep], end[keep]
         val, q, err, mass = val[keep], q[keep], err[keep], mass[keep]
-        # a Gauss-Kronrod panel is bisected; an endpoint panel [0, h] becomes
-        # [0, h/16] plus Gauss-Kronrod panels [h/16, h/4] and [h/4, h]
         gk, e_hi, e_pid = ~m_end, m_hi[m_end], m_pid[m_end]
         mid = 0.5 * (m_lo[gk] + m_hi[gk])
         new = [
-            np.concatenate([m_lo[gk], mid, e_hi / 16, e_hi / 4, 0 * e_hi]),
-            np.concatenate([mid, m_hi[gk], e_hi / 4, e_hi, e_hi / 16]),
-            np.concatenate([m_pid[gk], m_pid[gk], e_pid, e_pid, e_pid]),
-            np.concatenate([np.zeros(2 * mid.size + 2 * e_hi.size, bool), np.ones(e_hi.size, bool)]),
+            np.concatenate([m_lo[gk], mid, e_hi / 4, 0 * e_hi]),
+            np.concatenate([mid, m_hi[gk], e_hi, e_hi / 4]),
+            np.concatenate([m_pid[gk], m_pid[gk], e_pid, e_pid]),
+            np.concatenate([np.zeros(2 * mid.size + e_hi.size, bool), np.ones(e_hi.size, bool)]),
         ]
     return total, np.bincount(g, err, n_groups)

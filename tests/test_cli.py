@@ -190,6 +190,35 @@ def test_verify_fe_meets_tight_tol(capsys):
         assert case["pass"] is True
 
 
+def test_verify_all_passes_at_default_tol(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--tol", "1e-6")
+    assert code == EXIT_OK
+    env = json.loads(out)
+    assert env["result"]["pass"] is True
+    assert [s["suite"] for s in env["result"]["suites"]] == [
+        "betalike", "oscillatory", "fe", "intertwine"
+    ]
+
+
+def test_verify_intertwine_is_held_to_tol(capsys):
+    # at --tol 1e-9 every ratio-consistency probe passes only if its spread
+    # is within 1e-9, and the decay-exponent fit states the slope tolerance
+    # it is held to; a probe that cannot certify exits 3
+    code, out, _ = run(capsys, "verify", "--suite", "intertwine", "--tol", "1e-9")
+    env = json.loads(out)
+    if code == EXIT_DOMAIN:
+        assert env["error"] == "ToleranceNotMetError"
+        return
+    (suite,) = env["result"]["suites"]
+    for case in suite["cases"]:
+        if case["inputs"]["probe"] == "ratio-consistency":
+            assert case["pass"] is (case["rel_err"] <= 1e-9)
+        else:
+            assert case["pass"] is (case["abs_err"] <= case["inputs"]["abs_tol"])
+    assert suite["pass"] is all(case["pass"] for case in suite["cases"])
+    assert code == (EXIT_OK if suite["pass"] else EXIT_FAIL)
+
+
 def test_verify_oscillatory_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "oscillatory", "--tol", "1e-6")
     assert code == EXIT_OK

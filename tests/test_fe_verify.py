@@ -178,6 +178,46 @@ def test_beta_like_n2_far_apart_singular_points(t):
     assert beta_like_quadrature(beta, eta, t, cfg) == val
 
 
+def _beta_like_sweep(seed, n=300):
+    """n random n=2 beta-like inputs: complex beta with Re beta_j in
+    (0.005, 0.97), |Im beta_j| <= 1.5 and Re(beta_0 + beta_1) < 0.97,
+    random parities, t = +-10^U(-3, 3)."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < n:
+        re = rng.uniform(0.005, 0.97, 2)
+        if re.sum() >= 0.97:
+            continue
+        beta = [complex(r, rng.uniform(-1.5, 1.5)) for r in re]
+        eta = [int(e) for e in rng.integers(0, 2, 2)]
+        t = float(rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-3, 3))
+        out.append((beta, eta, t))
+    return out
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        QuadratureConfig(abs_tol=1e-7, rel_tol=1e-4),
+        QuadratureConfig(abs_tol=1e-10, rel_tol=1e-9),
+        QuadratureConfig(abs_tol=1e-13, rel_tol=1e-12),
+    ],
+    ids=["loose", "default", "tight"],
+)
+def test_integrate_product_line_sweep_within_estimate(cfg):
+    # near pieces with Re beta down to 0.005, exponents off the real axis and
+    # singular points 10^-3 to 10^3 apart: the error against the closed form
+    # never exceeds the estimate, and every input certifies
+    for seed in (0, 1):
+        for beta, eta, t in _beta_like_sweep(seed):
+            sp = SingularProduct(
+                [(t, beta[0], eta[0]), (0.0, beta[1], eta[1])], const=(-1.0) ** eta[0]
+            )
+            val, est = integrate_product_line(sp, cfg)
+            assert abs(val - beta_like_closed(beta, eta, t)) <= est, (beta, eta, t)
+            assert beta_like_quadrature(beta, eta, t, cfg) == val
+
+
 @pytest.mark.parametrize(
     "cfg",
     [QuadratureConfig(abs_tol=1e-7, rel_tol=1e-4), QuadratureConfig(abs_tol=1e-12, rel_tol=1e-10)],
@@ -399,15 +439,35 @@ def _apply_tanh_sinh(center, width, nu, y):
 @pytest.mark.parametrize("nu", [0.6, 0.8 + 0.5j])
 def test_intertwine_apply_matches_tanh_sinh(nu):
     # support (-0.5, 1.0), both edges exact in binary: -y inside the
-    # support, exactly on each edge, just outside, and in the far field
+    # support, exactly on each edge, just outside (1e-12 to 1e-6 past an
+    # edge, where the kernel's singular point lies at d0 > 0 from the
+    # piece's start), and in the far field
     center, width = 0.25, 0.75
     f = Bump(center, width)
     cfg = QuadratureConfig(abs_tol=1e-10, rel_tol=1e-8)
-    ys = [0.3, -0.55, 0.5, -1.0, -1.0 - 1e-9, 2.0, -40.0, 150.0]
+    ys = [0.3, -0.55, 0.5, -1.0, -1.0 - 1e-9, 2.0, -40.0, 150.0,
+          -1.0 - 1e-12, -1.0 - 1e-6, 0.5 + 1e-12, 0.5 + 1e-6]
     vals = intertwine_apply_n2(f, nu, 0, ys, cfg)
     for y, v in zip(ys, vals):
         want = _apply_tanh_sinh(center, width, nu, y)
         assert abs(v - want) <= max(cfg.abs_tol, cfg.rel_tol * abs(want)), y
+
+
+@pytest.mark.parametrize(
+    "center, width, nu, x", [(0.0, 1.0, 0.6, -0.2), (0.3, 0.7, 0.3, 0.5)]
+)
+def test_intertwine_compose_tail_model_error_is_certified(center, width, nu, x):
+    # continued past |z| = 60 by its leading asymptote alone, g makes these
+    # values miss by 4.5e-8 and 1.9e-8 relative: a value certified at
+    # rel_tol 1e-10 must be that accurate, or compose must raise
+    f = Bump(center, width)
+    cfg = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-10)
+    want = complex(G_delta(nu, 0) * G_delta(-nu, 0)) * f(x)
+    try:
+        (v,) = intertwine_compose_n2(f, nu, 0, [x], cfg)
+    except ToleranceNotMetError:
+        return
+    assert abs(v - want) <= 1e-10 * abs(want)
 
 
 @pytest.mark.parametrize(
