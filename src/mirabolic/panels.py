@@ -6,13 +6,16 @@ int_0^L phi(h) (d0 + h)^{s-1} dh at once, phi smooth and evaluated on numpy
 arrays, the kernel singular at h = -d0 <= 0.  Away from h = 0 the pieces
 run on 21-point Gauss-Kronrod panels, each with the embedded |K21 - G10|
 error estimate.  Where the kernel is singular at the endpoint itself
-(d0 = 0), the panel [0, delta] is a product-integration rule in the manner
+(d0 = 0, or d0 so small against L that its shift of the kernel is taken in
+closed form), the panel [0, delta] is a product-integration rule in the manner
 of QUADPACK's QAWS (modified moments; Piessens et al., QUADPACK, 1983):
 phi is expanded in shifted Legendre polynomials from its values at 12
 Gauss-Legendre nodes, and each polynomial is integrated against h^{s-1}
 exactly, by the closed-form moments of _legendre_moments.  Its error
-estimate is the part of that sum carried by the upper half of the
-expansion.
+estimate bounds the part of that sum carried by the upper half of the
+expansion, |delta^s / s| sum_{k >= 6} |c_k| (every |mu_k(s)| is at most
+1/|s|): unlike the signed sum it does not vanish where the moments do, for
+k >= s at integer s, where the rule is still inexact on what it aliases.
 """
 
 from __future__ import annotations
@@ -78,6 +81,8 @@ _LEGENDRE[0], _LEGENDRE[1] = 1.0, _x
 for _k in range(1, _M - 1):
     _LEGENDRE[_k + 1] = ((2 * _k + 1) * _x * _LEGENDRE[_k] - _k * _LEGENDRE[_k - 1]) / (_k + 1)
 _LEGENDRE *= (2 * np.arange(_M) + 1)[:, None] * 0.5 * np.concatenate([_GL_W, _GL_W[::-1]])
+# phi at the nodes -> the expansion's value at t = 0, sum_k c_k P_k(-1)
+_AT_ZERO = (-1.0) ** np.arange(_M) @ _LEGENDRE
 del _x, _k
 
 # nodes per vectorized evaluation.  At 8192 the temporaries of one chunk
@@ -90,6 +95,10 @@ _CHUNK = 1 << 12
 _ROUNDING = 50 * np.finfo(float).eps
 # Gauss-Kronrod panels graded by 1/4 ahead of the first endpoint panel
 _START_DEPTH = 2
+# pieces with 0 < d0 < _SHIFT * L, which panels graded to the scale d0 would
+# need more than 40 of, take the endpoint rule with the kernel's shift in
+# closed form; what that leaves out is O(d0 phi'), far below rounding
+_SHIFT = 4.0**-40
 
 
 def _kernel_powers(d, s):
@@ -134,20 +143,36 @@ def _gauss_kronrod(phi, lo, hi, p, d0, s):
 
 def _endpoint_moments(phi, lo, delta, p, d0, s):
     """Value, expansion-tail estimate, absolute mass and carried phi error
-    of the endpoint panels int_0^delta phi(p, h) h^(s_p - 1) dh (lo and
-    d0_p are 0): delta^s sum_k c_k mu_k(s), c_k the shifted Legendre
-    coefficients of phi on [0, delta], with |delta^s sum_{k >= 6} c_k
-    mu_k(s)| as estimate."""
+    of the endpoint panels int_0^delta phi(p, h) (d0_p + h)^(s_p - 1) dh
+    (lo is 0, d0_p is 0 or below L * _SHIFT): delta^s sum_k c_k mu_k(s), c_k
+    the shifted Legendre coefficients of phi on [0, delta], plus for
+    d0_p > 0 the expansion's value at 0 times the exact change of the
+    kernel's mass.  The estimate bounds the part of this carried by the
+    upper half of the expansion, (|delta^s / s| + |shift|) sum_{k >= 6}
+    |c_k|."""
     fv, fe = phi(p, delta[:, None] * _MOMENT_T)
-    mu = _legendre_moments(s[p])
-    scale = (delta * _kernel_powers(delta, s[p]))[:, None]  # delta^s
-    w = scale * (mu @ _LEGENDRE)
-    w_tail = scale * (mu[:, _M // 2 :] @ _LEGENDRE[_M // 2 :])
+    sp, dp = s[p], d0[p]
+    scale = delta * _kernel_powers(delta, sp)  # delta^s
+    w = scale[:, None] * (_legendre_moments(sp) @ _LEGENDRE)
+    # a kernel shifted by a tiny d0 > 0: phi(0) times the exact change of
+    # the kernel's mass, ((d0 + delta)^s - delta^s - d0^s)/s; the rest of
+    # the change is O(d0 phi')
+    d = np.where(dp > 0, dp, delta)
+    shift = np.where(
+        dp > 0,
+        (scale * np.expm1(sp * np.log1p(dp / delta)) - d * _kernel_powers(d, sp)) / sp,
+        0.0,
+    )
+    w = w + shift[:, None] * _AT_ZERO
+    # |mu_k(s)| <= |mu_0(s)| = 1/|s| (|s - j| <= |s + j|) and |P_k(-1)| = 1:
+    # a bound on the upper half that holds also where mu_k(s) vanishes, as it
+    # does for k >= s at s = 1, 2, ..., and the rule still aliases
+    tail = np.abs(fv @ _LEGENDRE[_M // 2 :].T).sum(axis=1)
     aw = np.abs(w)
     carried = 0.0 if fe is None else (aw * fe).sum(axis=1)
     return (
         (w * fv).sum(axis=1),
-        np.abs((w_tail * fv).sum(axis=1)),
+        (np.abs(scale / sp) + np.abs(shift)) * tail,
         (aw * np.abs(fv)).sum(axis=1),
         carried,
     )
@@ -183,23 +208,24 @@ def graded_integrals(phi, L, d0, s, group, n_groups, abs_tol, rel_tol,
     piece per panel, h the nodes of those panels (one row each); it returns
     (values, error bounds of the values or None), both shaped like h.
 
-    A piece singular at its endpoint (d0 = 0, which needs Re s > 0) starts
-    as Gauss-Kronrod panels [L/4, L] and [L/16, L/4] and the endpoint panel
-    [0, L/16], which is integrated by Legendre moments against the exact
-    kernel (see _endpoint_moments); any other piece starts as Gauss-Kronrod
-    panels graded geometrically (ratio 1/4) toward h = 0 down to the scale
-    d0.  Panels whose estimate is too large for their group's tolerance
+    A piece singular at or within L * 4^-40 of its endpoint (d0 < L * 4^-40,
+    which needs Re s > 0) starts as Gauss-Kronrod panels [L/4, L] and
+    [L/16, L/4] and the endpoint panel [0, L/16], which is integrated by
+    Legendre moments against the exact kernel (see _endpoint_moments); any
+    other piece starts as Gauss-Kronrod panels graded geometrically
+    (ratio 1/4) toward h = 0 down to the scale d0.  Panels whose estimate
+    is too large for their group's tolerance
     max(abs_tol, rel_tol*|sum + base|) are refined until every group meets
     it (or, when that is tighter than the rounding error of the group's
     sum, meets that) or a piece has max_panels panels: a Gauss-Kronrod
     panel is bisected, an endpoint panel [0, h] becomes the endpoint panel
     [0, h/4] and the Gauss-Kronrod panel [h/4, h].
     Returns (values, error estimates) per group."""
-    singular = d0 == 0
+    singular = d0 < _SHIFT * L
     depth = np.where(
         singular, _START_DEPTH, np.ceil(np.log2(L / np.where(singular, L, d0)) / 2)
     )
-    depth = np.clip(depth, 1, min(60, max(1, max_panels - 1))).astype(int)
+    depth = np.clip(depth, 1, max(1, max_panels - 1)).astype(int)
     pid = np.repeat(np.arange(L.size), depth + 1)
     starts = np.cumsum(depth + 1) - (depth + 1)
     k = np.arange(pid.size) - np.repeat(starts, depth + 1)

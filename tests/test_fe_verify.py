@@ -420,20 +420,22 @@ def test_intertwine_compose_scalar():
         assert intertwine_compose_n2(f, nu, 0, [x], cfg)[0] == v
 
 
-def _apply_tanh_sinh(center, width, nu, y):
-    # int bump(z) |-y-z|^{nu-1} dz (epsilon = 0) by mpmath's tanh-sinh,
-    # split at the kernel singularity z = -y when it lies in the support
+def _apply_tanh_sinh(center, width, nu, y, k=0.0, splits=1):
+    # int bump(z) cos(kz) |-y-z|^{nu-1} dz (epsilon = 0) by mpmath's
+    # tanh-sinh on `splits` equal intervals of the support, split also at
+    # the kernel singularity z = -y when it lies in the support
     nu, y = mp.mpc(nu), mp.mpf(y)
 
     def g(z):
         u, d = (z - center) / width, -y - z
         if abs(u) >= 1 or d == 0:
             return mp.mpf(0)
-        return mp.exp(1 - 1 / (1 - u * u)) * mp.power(abs(d), nu - 1)
+        return mp.exp(1 - 1 / (1 - u * u)) * mp.cos(k * z) * mp.power(abs(d), nu - 1)
 
     a, b = mp.mpf(center - width), mp.mpf(center + width)
     with mp.workdps(30):
-        return complex(mp.quad(g, [a, -y, b] if a < -y < b else [a, b]))
+        points = mp.linspace(a, b, splits + 1)
+        return complex(mp.quad(g, sorted(points + [-y]) if a < -y < b else points))
 
 
 @pytest.mark.parametrize("nu", [0.6, 0.8 + 0.5j])
@@ -453,20 +455,55 @@ def test_intertwine_apply_matches_tanh_sinh(nu):
         assert abs(v - want) <= max(cfg.abs_tol, cfg.rel_tol * abs(want)), y
 
 
+class _OscillatingBump(Bump):
+    """Bump(0, 1) times cos(k x)."""
+
+    def __init__(self, k):
+        super().__init__(0.0, 1.0)
+        self.k = k
+
+    def __call__(self, x):
+        return super().__call__(x) * np.cos(self.k * np.asarray(x))
+
+
+@pytest.mark.parametrize("nu", [1.0, 2.0])
+def test_intertwine_apply_at_integer_nu_matches_tanh_sinh(nu):
+    # -y inside the support gives pieces whose kernel h^{nu-1} has moments
+    # mu_k(nu) = 0 for k >= nu; the first endpoint panel [0, 1/16] spans two
+    # periods of cos(200 x), which its 12 nodes do not resolve
+    f = _OscillatingBump(200.0)
+    cfg = QuadratureConfig(abs_tol=1e-10, rel_tol=1e-8)
+    ys = [0.0, -0.3, -1.0]
+    vals = intertwine_apply_n2(f, nu, 0, ys, cfg)
+    for y, v in zip(ys, vals):
+        want = _apply_tanh_sinh(0.0, 1.0, nu, y, k=200.0, splits=64)
+        assert abs(v - want) <= max(cfg.abs_tol, cfg.rel_tol * abs(want)), y
+
+
+@pytest.mark.parametrize("nu", [0.05, 0.2 + 1j])
+def test_intertwine_apply_with_tiny_gap_matches_tanh_sinh(nu):
+    # support (0, 2) with -y 1e-40 and 1e-300 left of its edge 0: pieces
+    # whose kernel is singular at a d0 > 0 that no panel grading reaches
+    f = Bump(1.0, 1.0)
+    cfg = QuadratureConfig(abs_tol=1e-10, rel_tol=1e-8)
+    ys = [1e-40, 1e-300]
+    vals = intertwine_apply_n2(f, nu, 0, ys, cfg)
+    for y, v in zip(ys, vals):
+        want = _apply_tanh_sinh(1.0, 1.0, nu, y)
+        assert abs(v - want) <= max(cfg.abs_tol, cfg.rel_tol * abs(want)), y
+
+
 @pytest.mark.parametrize(
     "center, width, nu, x", [(0.0, 1.0, 0.6, -0.2), (0.3, 0.7, 0.3, 0.5)]
 )
 def test_intertwine_compose_tail_model_error_is_certified(center, width, nu, x):
     # continued past |z| = 60 by its leading asymptote alone, g makes these
-    # values miss by 4.5e-8 and 1.9e-8 relative: a value certified at
-    # rel_tol 1e-10 must be that accurate, or compose must raise
+    # values miss by 4.5e-8 and 1.9e-8 relative; the two-term asymptote and
+    # the retry with far moved out must certify them at rel_tol 1e-10
     f = Bump(center, width)
     cfg = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-10)
     want = complex(G_delta(nu, 0) * G_delta(-nu, 0)) * f(x)
-    try:
-        (v,) = intertwine_compose_n2(f, nu, 0, [x], cfg)
-    except ToleranceNotMetError:
-        return
+    (v,) = intertwine_compose_n2(f, nu, 0, [x], cfg)
     assert abs(v - want) <= 1e-10 * abs(want)
 
 
