@@ -163,7 +163,7 @@ def bf_weighted_sum(n: int, nu: complex, r, d_max: int, psi_values) -> complex:
         w = complex(psi_values[d - 1])
         if w == 0:
             continue
-        total += w * cmath.exp((-nu - n / 2) * cmath.log(d)) * grid_exp_sum(d, r)
+        total += w * _cpow(d, -nu - n / 2) * grid_exp_sum(d, r)
     return total
 
 

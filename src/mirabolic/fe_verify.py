@@ -10,9 +10,11 @@ large.  A line integral is cut into
 pieces at its singular points, evaluated at exact offsets from them, with
 the tails mapped by x = a +- R/u; the conditionally convergent oscillatory
 integral switches to repeated integration by parts past a cutoff.  The n=3
-beta-like integral is the product of two such line integrals.  Whole
-batches of integrals are refined at once: the inner integrals at the outer
-nodes of the n=2 intertwining composition.
+beta-like integral is the product of two such line integrals.  The n=2
+intertwining composition maps its outer integral's tails the same way,
+z = -x +- R/u, with nothing assumed about the inner operator at infinity,
+and refines whole batches of integrals at once: the inner integrals at its
+outer nodes.
 
 A quadrature oracle that cannot certify agreement with its closed form raises
 ToleranceNotMetError rather than returning silently.  The intertwining
@@ -41,7 +43,7 @@ from .errors import (
     ToleranceNotMetError,
 )
 from .eisenstein import EisParams, nu_from_s
-from .panels import graded_integrals
+from .panels import _kernel_powers, graded_integrals
 from .special import G_delta, G_delta_is_zero
 
 _TWO_PI_I = 2j * math.pi
@@ -49,10 +51,9 @@ _MAX_PANELS = 200  # panels per piece of the graded rule
 _OSC_CUTOFF = 10.0  # periods integrated directly before the by-parts tail
 _OSC_PARTS = 8  # integrations by parts in the oscillatory tail
 _PAIR_NORM_TOL = 1e-9  # |sum lambda| accepted as zero by the pairing scalars
-# the n=2 composition: finite part over |z + x| < _WINDOW, direct quadrature
-# out to |z| = _FAR, the asymptote of g beyond
+# the n=2 composition: finite part over |z + x| < _WINDOW, the rest of the
+# line mapped by z = -x +- _WINDOW/u
 _WINDOW = 1.0
-_FAR = 60.0
 
 
 @dataclass(frozen=True)
@@ -204,8 +205,7 @@ def eisfe_scalar(params: EisParams) -> complex:
     if not is_primitive(psi):
         raise NotPrimitiveError("eisfe_scalar requires a primitive character")
     n, nu, eps = params.n, complex(params.nu), params.epsilon
-    N = params.level
-    npow = cmath.exp((2 * nu - nu / n - 0.5) * math.log(N)) if N > 1 else 1.0
+    npow = _abs_pow(params.level, 2 * nu - nu / n - 0.5)
     return (-1) ** eps * gauss_sum(psi) * npow * G_delta(nu - n / 2 + 1, eps)
 
 
@@ -233,7 +233,7 @@ def pairing_fe_gamma_product(
     lam, delta = _check_pair_normalization(lam, delta, eta, n, epsilon)
     nu = complex(nu)
     sign = (-1) ** ((epsilon + sum(delta[n:])) % 2)
-    npow = cmath.exp((2 * nu - nu / n - 0.5) * math.log(N)) if N > 1 else 1.0
+    npow = _abs_pow(N, 2 * nu - nu / n - 0.5)
     prod = 1 + 0j
     for j in range(1, n + 1):
         dd = (delta[n + j - 1] + delta[n - j] + eta) % 2
@@ -252,7 +252,7 @@ def pairing_fe_gamma_product_s(
     (-1)^{eps+delta_{n+1}+...+delta_{2n}} under nu = n(s-1/2)."""
     lam, delta = _check_pair_normalization(lam, delta, eta, n, epsilon)
     s = complex(s)
-    npow = cmath.exp((2 * n * s - s - n) * math.log(N)) if N > 1 else 1.0
+    npow = _abs_pow(N, 2 * n * s - s - n)
     prod = 1 + 0j
     for j in range(1, n + 1):
         dd = (delta[n + j - 1] + delta[n - j] + eta) % 2
@@ -593,6 +593,15 @@ def _apply_batch(fs, nu, epsilon, y, which, a, b, abs_tol, rel_tol):
     return val, err
 
 
+def _finite_grid(grid) -> np.ndarray:
+    """The points of grid as a flat float array; raises ValueError unless
+    every one is finite."""
+    pts = np.asarray(grid, dtype=float).ravel()
+    if not np.isfinite(pts).all():
+        raise ValueError("grid points must be finite")
+    return pts
+
+
 def _support(f) -> tuple[float, float]:
     """The interval (a, b) outside which the test function f vanishes."""
     support = getattr(f, "support", None)
@@ -609,14 +618,15 @@ def intertwine_apply_n2(
     cfg: QuadratureConfig = DEFAULT_QUAD,
 ) -> np.ndarray:
     """(I_nu f)(y) = int f(z) |{-y-z}|^{nu-1} sgn(-y-z)^eps dz for each y in
-    y_grid; f must vanish outside f.support and accept numpy arrays.
+    y_grid, which must be finite (ValueError otherwise); f must vanish
+    outside f.support and accept numpy arrays.
     Requires Re nu > 0 (= n/2 - 1 for n = 2).  Every value is certified
     against its own error estimate."""
     nu = complex(nu)
     if nu.real <= 0:
         raise ConvergenceRegionError("intertwining integral needs Re nu > 0")
     a, b = _support(f)
-    y = np.asarray(y_grid, dtype=float).ravel()
+    y = _finite_grid(y_grid)
     val, err = _apply_batch(
         [f], nu, epsilon, y, np.zeros(y.size, int), a, b, cfg.abs_tol, cfg.rel_tol
     )
@@ -631,7 +641,8 @@ def intertwine_compose_n2(
     x_grid,
     cfg: QuadratureConfig = DEFAULT_QUAD,
 ) -> np.ndarray:
-    """(I_{-nu} (I~_nu f))(x) for x in x_grid, 0 < Re nu < 1, |x| < 59.
+    """(I_{-nu} (I~_nu f))(x) for x in x_grid, 0 < Re nu < 1; every x must
+    be finite (ValueError otherwise).
 
     The inner operator g is the convergent integral of intertwine_apply_n2;
     the outer kernel |x+z|^{-nu-1} is not locally integrable, so it is
@@ -641,21 +652,28 @@ def intertwine_compose_n2(
         - int_{-R}^{R} g'(-x+u) A(u) du,
     with A the antiderivative (-1)^eps sgn(u)^{eps+1} |u|^{-nu}/(-nu) of K,
     whose u = 0 boundary terms continue to zero; g' = -I~_nu f' comes from
-    f.derivative.  Beyond the window the outer integral runs to +-far,
-    far = _FAR = 60 at first, and past that g is continued by its two-term
-    asymptote |z|^{nu-1} (A + B/|z|), fitted to g and g' at +-far, whose
-    tail integrals are in closed form.  The B terms are the last correction
-    taken; their size is the model error estimate, and it is part of the
-    error estimate.
+    f.derivative.
+
+    The rest of the line, |z+x| >= R, is mapped by z = -x +- R/u,
+    u in (0, 1]: each side is
+    int g(z) |x+z|^{-nu-1} dz = R^{-nu} int_0^1 g(-x +- R/u) u^{nu-1} du,
+    times (-1)^eps on the right, where -x-z < 0.  Its integrand is smooth on
+    (0, 1] because g is (f is), and analytic at u = 0: for z outside
+    [-m, m], m = max(|a|, |b|) over the support (a, b) of f,
+    g(z) = (-sgn z)^eps |z|^{nu-1} int_a^b f(w) (1 + w/z)^{nu-1} dw
+    = |z|^{nu-1} G(1/z), with G analytic on |t| < 1/m; and for small u,
+    u^{nu-1} |-x +- R/u|^{nu-1} = R^{nu-1} (1 -+ xu/R)^{nu-1} and
+    1/z = u/(+-R - xu) are analytic at u = 0.  So each side is one piece of
+    the graded rule with a flat kernel (s = 1); nothing is assumed about g
+    at infinity, and |x| is not limited.
 
     g and g' are computed for a whole batch of outer nodes at once, with
     inner tolerances a hundredth of cfg's, and their error estimates are
     carried through the outer weights.  Each value is certified against the
     summed error estimate of its pieces; when that misses the tolerance, the
     point is computed once more with inner tolerances tightened by the
-    factor missed and far moved out until the model error, O(far^-3), is
-    an eighth of the tolerance.  The operator is a scalar multiple of the
-    identity; only ratios to the input are meaningful."""
+    factor missed.  The operator is a scalar multiple of the identity; only
+    ratios to the input are meaningful."""
     nu = complex(nu)
     if not 0 < nu.real < 1:
         raise ConvergenceRegionError("composition probe needs 0 < Re nu < 1")
@@ -665,28 +683,14 @@ def intertwine_compose_n2(
         raise ValueError("f must provide a .derivative method")
     R = _WINDOW
     sign = (-1.0) ** (epsilon % 2)
+    # pieces: -int_0^R g'(-x+-h) A(+-h) dh with kernel h^{-nu}, then the two
+    # mapped sides z = -x +- R/u with kernel 1 and the weight R^-nu u^{nu-1}
+    # in phi
+    dirs = np.array([1.0, -1.0, 1.0, -1.0])
+    c = np.array([sign / nu, -1 / nu, sign * R**-nu, R**-nu])
+    of_derivative = np.array([1, 1, 0, 0])
 
-    def tail_integrals(x, far):
-        # T_j = int_far^inf (z/far)^{nu-1-j} (z + x)^{-nu-1} dz, j = 0, 1,
-        # |x| < far.  With z = far w and r = x/far, T_j far^nu is
-        # sum_n binom(-nu-1, n) r^n / (n+1+j), or in closed form an integral
-        # of powers of u = w/(w + r) from 1/(1+r) to 1, which cancels for
-        # small r
-        r = x / far
-        if abs(r) < 0.5:
-            t0 = t1 = 0j
-            c = 1 + 0j
-            for n in range(60):
-                t0 += c / (n + 1)
-                t1 += c / (n + 2)
-                c *= (-nu - 1 - n) / (n + 1) * r
-        else:
-            log1p = math.log1p(r)
-            e0, e1 = complex(np.expm1(-nu * log1p)), complex(np.expm1((1 - nu) * log1p))
-            t0, t1 = -e0 / (nu * r), (e0 / nu - e1 / (nu - 1)) / (r * r)
-        return far**-nu * t0, far**-nu * t1
-
-    def point(x, share, far):
+    def point(x, share):
         def inner(z, which):
             # which = 0: g(z); which = 1: g'(z) = -(I~_nu f')(z)
             v, e = _apply_batch(
@@ -695,44 +699,24 @@ def intertwine_compose_n2(
             )
             return np.where(which == 1, -v, v), e
 
-        g, ge = inner(
-            np.array([-x + R, -x - R, far, -far, far, -far]), np.array([0, 0, 0, 0, 1, 1])
-        )
+        g, ge = inner(np.array([-x + R, -x - R]), np.zeros(2, int))
         # [g(-x+u) A(u)]_{-R}^{R}, A(R) = sign R^-nu/(-nu), A(-R) = R^-nu/nu
         aR = R**-nu / nu
         known = -sign * aR * g[0] - aR * g[1]
         known_err = abs(aR) * (ge[0] + ge[1])
-        # the tails |z| > far: g(+-u) = (u/far)^{nu-1} (P + Q (far/u - 1)) for
-        # u >= far, the two-term asymptote with P = g(+-far) and
-        # Q = (nu-1) g(+-far) -+ far g'(+-far), against the kernel
-        # (u -+ x)^{-nu-1} (times sign on the right); the Q terms are the
-        # last correction taken, and their sum is the model error estimate
-        model = 0j
-        for i, k, d in ((2, sign, 1.0), (3, 1.0, -1.0)):
-            t0, t1 = tail_integrals(d * x, far)
-            Q = (nu - 1) * g[i] - d * far * g[i + 2]
-            known += k * g[i] * t0
-            model += k * Q * (t1 - t0)
-            known_err += abs(t0) * ge[i] + abs(t1 - t0) * (abs(nu - 1) * ge[i] + far * ge[i + 2])
-        known += model
-        known_err += abs(model)
-        # -int_0^R g'(-x+-h) A(+-h) dh, then g(z) K(-x-z) over [-x+R, far] and
-        # [-far, -x-R], each as int_0^L phi(h) (d0 + h)^{s-1} dh
-        e = np.array([-x, -x, -x + R, -x - R])
-        dirs = np.array([1.0, -1.0, 1.0, -1.0])
-        c = np.array([sign / nu, -1 / nu, sign, 1.0])
-        of_derivative = np.array([1, 1, 0, 0])
 
         def phi(idx, h):
-            z = e[idx][:, None] + dirs[idx][:, None] * h
+            mapped = of_derivative[idx][:, None] == 0
+            z = -x + dirs[idx][:, None] * np.where(mapped, R / h, h)
+            w = c[idx][:, None] * np.where(mapped, _kernel_powers(h, nu), 1.0)
             v, ve = inner(z.ravel(), np.repeat(of_derivative[idx], h.shape[1]))
-            return c[idx][:, None] * v.reshape(h.shape), np.abs(c[idx])[:, None] * ve.reshape(h.shape)
+            return w * v.reshape(h.shape), np.abs(w) * ve.reshape(h.shape)
 
         val, err = graded_integrals(
             phi,
-            np.array([R, R, far + x - R, far - x - R]),
-            np.array([0.0, 0.0, R, R]),
-            np.array([1 - nu, 1 - nu, -nu, -nu]),
+            np.array([R, R, 1.0, 1.0]),
+            np.zeros(4),
+            np.array([1 - nu, 1 - nu, 1.0, 1.0]),
             np.zeros(4, int),
             1,
             cfg.abs_tol / 2,
@@ -741,19 +725,15 @@ def intertwine_compose_n2(
             base=known,
             chunk=21 * 12,  # each outer node is a batch of inner integrals
         )
-        return val[0] + known, err[0] + known_err, abs(model)
+        return val[0] + known, err[0] + known_err
 
     out, est = [], []
-    for x in np.asarray(x_grid, dtype=float).ravel():
-        if not abs(x) < _FAR - R:
-            raise ValueError(f"need |x| < {_FAR - R:g}")
-        v, e, model = point(x, 1e-2, _FAR)
+    for x in _finite_grid(x_grid):
+        v, e = point(x, 1e-2)
         tol = max(cfg.abs_tol, cfg.rel_tol * abs(v))
         if not e <= tol:
-            # tighten the inner tolerances by the factor missed, and move far
-            # out until the O(far^-3) model error is an eighth of tol
-            far = _FAR * max(1.0, (8 * model / tol) ** (1 / 3))
-            v, e, _ = point(x, 1e-2 * min(1e-2, tol / (4 * e)), far)
+            # tighten the inner tolerances by the factor missed
+            v, e = point(x, 1e-2 * min(1e-2, tol / (4 * e)))
         out.append(v)
         est.append(e)
     out, est = np.asarray(out, dtype=complex), np.asarray(est)

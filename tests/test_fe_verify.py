@@ -497,14 +497,59 @@ def test_intertwine_apply_with_tiny_gap_matches_tanh_sinh(nu):
     "center, width, nu, x", [(0.0, 1.0, 0.6, -0.2), (0.3, 0.7, 0.3, 0.5)]
 )
 def test_intertwine_compose_tail_model_error_is_certified(center, width, nu, x):
-    # continued past |z| = 60 by its leading asymptote alone, g makes these
-    # values miss by 4.5e-8 and 1.9e-8 relative; the two-term asymptote and
-    # the retry with far moved out must certify them at rel_tol 1e-10
+    # the outer integral's tails, z = -x +- R/u, must carry g all the way
+    # out: continued past |z| = 60 by its leading asymptote alone, g made
+    # these values miss by 4.5e-8 and 1.9e-8 relative; they must certify at
+    # rel_tol 1e-10
     f = Bump(center, width)
     cfg = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-10)
     want = complex(G_delta(nu, 0) * G_delta(-nu, 0)) * f(x)
     (v,) = intertwine_compose_n2(f, nu, 0, [x], cfg)
     assert abs(v - want) <= 1e-10 * abs(want)
+
+
+@pytest.mark.parametrize(
+    "center, width, nu, x",
+    [(64.0, 8.0, 0.6, 63.0), (64.0, 8.0, 0.6, 70.0), (-100.0, 4.0, 0.8 + 0.5j, -99.0)],
+)
+def test_intertwine_compose_far_from_the_origin(center, width, nu, x):
+    # |x| >= 60 inside the support: the window and the mapped tails have no
+    # limit on |x|
+    f = Bump(center, width)
+    cfg = QuadratureConfig(abs_tol=1e-8, rel_tol=1e-6)
+    want = complex(G_delta(nu, 0) * G_delta(-nu, 0)) * f(x)
+    (v,) = intertwine_compose_n2(f, nu, 0, [x], cfg)
+    assert abs(v - want) <= max(cfg.abs_tol, cfg.rel_tol * abs(want))
+
+
+@pytest.mark.parametrize(
+    "center, width, nu, x",
+    [
+        (0.0, 1.0, 0.3, -0.2),
+        (0.0, 1.0, 0.6, 0.1),
+        (0.3, 0.7, 0.9, 0.5),
+        (0.0, 1.0, 0.8 + 0.5j, -0.2),
+        (0.3, 0.7, 0.5 + 3j, 0.1),
+        (0.0, 1.0, 0.1, 0.4),
+    ],
+)
+def test_intertwine_compose_at_tight_tolerance(center, width, nu, x):
+    # near the rounding floor of the outer sum; nu = 0.1 outside the support
+    # (x = 3, where the value is 0) has a floor above 1e-13 absolute
+    f = Bump(center, width)
+    cfg = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-11)
+    want = complex(G_delta(nu, 0) * G_delta(-nu, 0)) * f(x)
+    (v,) = intertwine_compose_n2(f, nu, 0, [x], cfg)
+    assert abs(v - want) <= max(cfg.abs_tol, cfg.rel_tol * abs(want))
+
+
+@pytest.mark.parametrize("point", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "operator", [intertwine_apply_n2, intertwine_compose_n2], ids=["apply", "compose"]
+)
+def test_intertwine_rejects_non_finite_points(operator, point):
+    with pytest.raises(ValueError, match="finite"):
+        operator(Bump(0.0, 1.0), 0.6, 0, [0.3, point])
 
 
 @pytest.mark.parametrize(
