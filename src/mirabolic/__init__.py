@@ -5,8 +5,9 @@ quadrature verification of the functional-equation scalar identities.
 
 Importing the package loads no submodule: each public name is imported
 from its module on first access (PEP 562), so a caller pays for numpy only
-when it reaches a layer that uses it (characters, eisenstein, fe_verify,
-panels).
+when it reaches the quadrature layers that use it (fe_verify, panels); the
+characters, Eisenstein coefficients, special functions and Gamma-factor
+calculus are plain Python.
 """
 
 import sys

@@ -7,12 +7,14 @@ factors).  A character is therefore stored as a row of integers k_a in
 All characters mod N share one sorted unit list and one residue -> position
 index.  Group operations (inverse, parity, conductor tests, Fourier sums)
 are integer arithmetic on the rows mod L; conversion to complex happens
-only at the boundary, through one table of the L roots of unity.
+only at the boundary, through the cached tables of the L-th roots of unity
+(character values) and the N-th roots (the additive twist e(a*m/N) of a
+Fourier sum).  The module is plain Python: rows are tuples of ints.
 
 The enumeration is deterministic: the unit group (Z/N)* is decomposed into
 cyclic factors using the smallest primitive root for each odd prime power
 and the (-1, 5) generator pair for 2^k, k >= 3.  The rows of all phi(N)
-characters come from one integer matrix product over the discrete logs.
+characters are built one cyclic factor at a time from the discrete logs.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ import cmath
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm
-
-import numpy as np
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -97,28 +97,30 @@ def _unit_group_structure(n: int) -> tuple[tuple[int, int], ...]:
 
 class _UnitGroup:
     """(Z/N)* with what all characters mod N share: the sorted units, the
-    residue -> position index, the group exponent L, and the discrete logs
-    of the units over the cyclic generators."""
+    residue -> position index, the group exponent L, the discrete logs of
+    the units over the cyclic generators, and the root-of-unity tables."""
 
     def __init__(self, modulus: int):
         structure = _unit_group_structure(modulus)
-        self.orders = np.array([s for _, s in structure], dtype=np.int64)
-        self.root_order = lcm(*(s for _, s in structure))
-        # logs[j] is the exponent vector of residues[j] = prod g_i^logs[j, i],
-        # in lexicographic order of the exponent vectors: the character order.
-        residues = np.array([1 % modulus], dtype=np.int64)
-        logs = np.zeros((1, 0), dtype=np.int64)
+        self.modulus = modulus
+        self.orders = tuple(s for _, s in structure)
+        self.root_order = lcm(*self.orders)
+        # residues[j] = prod g_i^l_i, j running over the exponent vectors l in
+        # lexicographic order (the character order), so l_i = j // stride_i % s_i
+        residues = [1 % modulus]
         for g, s in structure:
-            powers = np.array([pow(g, k, modulus) for k in range(s)], dtype=np.int64)
-            residues = (residues[:, None] * powers % modulus).ravel()
-            logs = np.column_stack(
-                (np.repeat(logs, s, axis=0), np.tile(np.arange(s, dtype=np.int64), len(logs)))
-            )
-        by_residue = np.argsort(residues)
-        self.logs = logs
-        self.unit_logs = logs[by_residue]
-        self.unit_array = residues[by_residue]
-        self.units = tuple(self.unit_array.tolist())
+            powers = [pow(g, k, modulus) for k in range(s)]
+            residues = [r * p % modulus for r in residues for p in powers]
+        by_residue = sorted(range(len(residues)), key=residues.__getitem__)
+        self.units = tuple(residues[j] for j in by_residue)
+        # unit_steps[i][u] = l_i (L/s_i) for units[u]: the exponent of the
+        # character with k_i = 1 (and every other k zero) over the L-th roots
+        self.unit_steps = []
+        stride = len(residues)
+        for s in self.orders:
+            stride //= s
+            step = self.root_order // s
+            self.unit_steps.append([j // stride % s * step for j in by_residue])
         self.position: list[int | None] = [None] * modulus
         for i, a in enumerate(self.units):
             self.position[a] = i
@@ -128,6 +130,12 @@ class _UnitGroup:
         """roots[k] = e(k/L), bit for bit the value e(q) of the reduced q = k/L."""
         L = self.root_order
         return [cmath.exp(2j * cmath.pi * (k / L)) for k in range(L)]
+
+    @cached_property
+    def modulus_roots(self) -> list[complex]:
+        """modulus_roots[a] = e(a/N), for the additive characters of Z/N."""
+        N = self.modulus
+        return [cmath.exp(2j * cmath.pi * (a / N)) for a in range(N)]
 
     @cached_property
     def unit_labels(self) -> list[str]:
@@ -233,25 +241,33 @@ def enumerate_characters(N: int) -> list[DirichletCharacter]:
     """All phi(N) characters mod N, principal first, in a fixed order.
 
     With generators g_i of orders s_i, the character with exponent vector k
-    takes the unit prod g_i^l_i to e(sum_i k_i l_i / s_i); over the common
-    denominator L that is one integer matrix product for all characters.
+    takes the unit prod g_i^l_i to e(sum_i k_i l_i / s_i).  Over the common
+    denominator L the rows are built one cyclic factor at a time: each row so
+    far is extended by the s_i integer rows k_i (L/s_i) l_i mod L, so the
+    characters come in lexicographic order of k.
     """
     if N < 1:
         raise ValueError("modulus must be positive")
     group = _unit_group(N)
     L = group.root_order
-    rows = (group.logs * (L // group.orders)) @ group.unit_logs.T % L
-    return [DirichletCharacter(N, tuple(row)) for row in rows.tolist()]
+    factors = [
+        [[k * b % L for b in base] for k in range(s)]
+        for s, base in zip(group.orders, group.unit_steps)
+    ]
+    rows = factors[0] if factors else [[0]]
+    for factor in factors[1:]:
+        rows = [[(a + b) % L for a, b in zip(row, f)] for row in rows for f in factor]
+    return [DirichletCharacter(N, tuple(row)) for row in rows]
 
 
 def finite_fourier(psi: DirichletCharacter, m: int) -> complex:
-    """psi-hat(m) = sum_{a mod N} psi(a) e(a*m/N); each term's exponent is
-    reduced exactly, as an integer mod lcm(L, N), before it is exponentiated."""
-    N, L = psi.modulus, psi.root_order
-    M = lcm(L, N)
-    k = np.array(psi.row, dtype=np.int64) * (M // L)
-    k += psi._group.unit_array * (m % N) % N * (M // N)
-    return complex(np.exp(2j * np.pi * ((k % M) / M)).sum())
+    """psi-hat(m) = sum_{a mod N} psi(a) e(a*m/N), summed over the units as
+    roots[k_a] * modulus_roots[a*m mod N]: both exponents are reduced exactly,
+    as integers, before they index the root tables."""
+    group = psi._group
+    N, roots, twist = psi.modulus, group.roots, group.modulus_roots
+    m %= N
+    return sum(roots[k] * twist[a * m % N] for k, a in zip(psi.row, group.units))
 
 
 def gauss_sum(psi: DirichletCharacter) -> complex:

@@ -18,12 +18,11 @@ inner exponential sum.
 from __future__ import annotations
 
 import cmath
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import gcd
-
-import numpy as np
+from math import gcd, lcm
 
 from .characters import DirichletCharacter, divisors, euler_phi, finite_fourier
 from .errors import ConvergenceRegionError, PoleError
@@ -138,8 +137,11 @@ def grid_exp_sum(d: int, r) -> complex:
     """sum over v in (Z/d)^m of e((r . v)/d), by direct grid summation.
 
     The phase index is accumulated modulo d in integer arithmetic, so the
-    result is a sum of exact d-th roots of unity.
+    result is a sum of exact d-th roots of unity.  numpy is imported here,
+    not with the module: only this oracle uses it.
     """
+    import numpy as np
+
     r = np.asarray(r, dtype=np.int64)
     m = len(r)
     if d == 1:
@@ -188,17 +190,16 @@ def delta_atom_sum(
     atoms: list[DeltaAtom] = []
     divisible = range(0, H + 1, N)
 
-    import itertools
-
     if cell == "big":
         for v1 in range(N, H + 1, N):
+            scale = _cpow(v1, -nu - n / 2)
             for middle in itertools.product(divisible, repeat=n - 2):
                 for vn in range(0, H + 1):
                     w = psi(vn)
                     if w == 0:
                         continue
                     v = (v1,) + middle + (vn,)
-                    weight = w * _cpow(v1, -nu - n / 2)
+                    weight = w * scale
                     loc = tuple(
                         Fraction(v[n - 1 - i], v1) for i in range(n - 1)
                     )  # (v_n/v_1, v_{n-1}/v_1, ..., v_2/v_1)
@@ -208,10 +209,9 @@ def delta_atom_sum(
             w = psi(vn)
             if w == 0:
                 continue
+            weight = w * _cpow(vn, -nu - n / 2)
             for head in itertools.product(divisible, repeat=n - 1):
-                v = head + (vn,)
-                weight = w * _cpow(vn, -nu - n / 2)
-                loc = tuple(Fraction(v[i], vn) for i in range(n - 1))
+                loc = tuple(Fraction(v, vn) for v in head)
                 atoms.append(DeltaAtom(loc, weight))
     return atoms
 
@@ -220,17 +220,21 @@ def atom_fourier_c_r(atoms: list[DeltaAtom], r, N: int, n: int) -> complex:
     """Fourier integral of a wlong atom list over the period-N torus.
 
     Recovers c_r from atoms whose locations lie in [0, N)^{n-1}:
-    N^{1-n} * sum weight * e(-(r . loc)/N).
+    N^{1-n} * sum weight * e(-(r . loc)/N).  With loc_i = p_i/d_i in lowest
+    terms and D = lcm(d_i), the phase (r . loc)/N is reduced exactly, as an
+    integer numerator mod N*D, before it is exponentiated.
     """
     r = tuple(int(x) for x in r)
     total = 0j
     for atom in atoms:
-        if not all(0 <= q < N for q in atom.location):
+        nums = [q.numerator for q in atom.location]
+        dens = [q.denominator for q in atom.location]
+        if not all(0 <= p < N * d for p, d in zip(nums, dens)):
             continue
-        phase = sum(
-            Fraction(ri) * q / N for ri, q in zip(r, atom.location)
-        )
-        total += atom.weight * cmath.exp(-2j * cmath.pi * float(phase))
+        D = lcm(*dens)
+        M = N * D
+        k = sum(ri * p * (D // d) for ri, p, d in zip(r, nums, dens)) % M
+        total += atom.weight * cmath.exp(-2j * cmath.pi * (k / M))
     return float(N) ** (1 - n) * total
 
 

@@ -1,6 +1,7 @@
 """Character table, Gauss sum, and conductor tests against independent
-oracles (direct definitions computed with complex arithmetic, and the
-Fraction-exponent enumeration the integer rows replaced)."""
+oracles (direct definitions computed with complex arithmetic, the
+Fraction-exponent enumeration the integer rows replaced, and 30-digit
+mpmath Fourier sums)."""
 
 import cmath
 import itertools
@@ -10,6 +11,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
 from mirabolic.characters import (
     DirichletCharacter,
@@ -258,3 +260,32 @@ def test_fourier_sums_match_fraction_oracle(N, both_tables):
         assert abs(gauss_sum(psi) - ref.finite_fourier(1)) <= 1e-12 * N
         for m in ms:
             assert abs(finite_fourier(psi, m) - ref.finite_fourier(m)) <= 1e-12 * N
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the Fourier sum at 30 digits in mpmath, from the exact exponents
+# k_a/L + a*m/N of each term, at moduli near 1000 and 2000.
+
+
+def mp_finite_fourier(psi, m):
+    N = psi.modulus
+    with mp.workdps(30):
+        total = mp.fsum(
+            mp.expjpi(2 * mp.mpf(q.numerator) / q.denominator)
+            for q in ((e + Fraction(a * m, N)) % 1 for a, e in psi.exponents.items())
+        )
+        return complex(total)
+
+
+@pytest.mark.parametrize("N", [1000, 1100, 1994])
+def test_fourier_sums_match_mpmath(N):
+    chars = enumerate_characters(N)
+    imprimitive = [p for p in chars[1:] if conductor(p) != N]
+    primitive = [p for p in chars if conductor(p) == N]
+    picked = [chars[0], imprimitive[0], imprimitive[-1], *primitive[:1]]
+    ms = [0, 1, N // 2, N - 3]  # N // 2 is a non-unit: every N here is even
+    assert gcd(N // 2, N) > 1
+    for psi in picked:
+        assert abs(gauss_sum(psi) - mp_finite_fourier(psi, 1)) <= 1e-12
+        for m in ms:
+            assert abs(finite_fourier(psi, m) - mp_finite_fourier(psi, m)) <= 1e-12

@@ -287,10 +287,13 @@ def test_cli_command_runs_without_scipy(argv):
         for line in out.stderr.splitlines()
         if line.startswith("import time:")
     ]
-    # gamma needs no character, so it leaves out characters (and numpy)
+    # gamma needs no character, so it leaves out characters; only verify
+    # reaches the quadrature layers, the one part that uses numpy
     required = {"mirabolic.special"}
     if argv[0] != "gamma":
         required.add("mirabolic.characters")
+    if argv[0] == "verify":
+        required |= {"mirabolic.fe_verify", "mirabolic.panels", "numpy"}
     assert required <= set(imported)
     assert not [m for m in imported if m == "scipy" or m.startswith("scipy.")]
     result = json.loads(out.stdout)["result"]
@@ -309,12 +312,20 @@ def test_cli_command_runs_without_scipy(argv):
     [
         ["gamma", "--rep", "D2[0.1,0.5]+triv", "--functor", "sym2", "--eval", "1.5,2",
          "--embedding"],
+        ["chars", "--modulus", "1000", "--list"],
+        ["--format", "csv", "chars", "--modulus", "1100", "--list"],
+        ["chars", "--modulus", "210", "--index", "5", "--gauss", "--conductor", "--fft", "3"],
+        ["eis", "--n", "3", "--nu", "2,1", "--modulus", "7", "--char-index", "1",
+         "--r-box", "6", "--cell", "wlong"],
+        ["eis", "--n", "3", "--nu", "2,1", "--modulus", "7", "--char-index", "1",
+         "--r-box", "6", "--cell", "big"],
     ],
-    ids=["gamma"],
+    ids=["gamma", "chars-list", "chars-list-csv", "chars-index", "eis-wlong", "eis-big"],
 )
 def test_cli_command_runs_without_numpy(argv):
-    # the Gamma-factor calculus is pure Python, so a gamma run pays for no
-    # numpy import; -X importtime logs every module the run imports
+    # the Gamma-factor calculus, the characters and the Eisenstein
+    # coefficients are pure Python, so these runs pay for no numpy import;
+    # -X importtime logs every module the run imports
     out = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "mirabolic.cli", *argv],
         env=child_env(), capture_output=True, text=True,
@@ -325,22 +336,32 @@ def test_cli_command_runs_without_numpy(argv):
         for line in out.stderr.splitlines()
         if line.startswith("import time:")
     ]
-    assert "mirabolic.gamma_factors" in imported
+    command = argv[2] if argv[0] == "--format" else argv[0]
+    layer = {"gamma": "gamma_factors", "chars": "characters", "eis": "eisenstein"}[command]
+    assert f"mirabolic.{layer}" in imported
     assert not [m for m in imported if m == "numpy" or m.startswith("numpy.")]
-    assert "value" in json.loads(out.stdout)["result"]
+    if "csv" in argv:
+        assert out.stdout.startswith("key,value\n")
+    elif command == "gamma":
+        assert "value" in json.loads(out.stdout)["result"]
+    else:
+        assert json.loads(out.stdout)["command"] == command
 
 
 def test_package_import_leaves_out_numpy():
-    # the package and the CLI module load their layers lazily
+    # the package and the CLI module load their layers lazily, and the
+    # characters and Eisenstein layers are pure Python
     code = (
         "import sys; import mirabolic; a = 'numpy' in sys.modules; "
-        "import mirabolic.cli; print(a, 'numpy' in sys.modules)"
+        "import mirabolic.cli; b = 'numpy' in sys.modules; "
+        "import mirabolic.characters, mirabolic.eisenstein; "
+        "print(a, b, 'numpy' in sys.modules)"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True
     )
     assert out.returncode == 0, f"child interpreter failed:\n{out.stderr}"
-    assert out.stdout.split() == ["False", "False"]
+    assert out.stdout.split() == ["False", "False", "False"]
 
 
 # ---------------------------------------------------------------------------
