@@ -277,6 +277,7 @@ def _suite_betalike(tol: float, cfg) -> list[dict]:
         ((0.25, 0.45), (0, 1)),
         ((0.35, 0.3), (1, 0)),
         ((0.2, 0.3, 0.3), (0, 0, 0)),
+        ((0.2, 0.15, 0.25, 0.1), (1, 0, 1, 0)),
     ]
     for beta, eta in grid:
         closed = fe_verify.beta_like_closed(beta, eta, 1.0)

@@ -9,8 +9,9 @@ kernel, and adaptive refinement of the panels whose estimate is too
 large.  A line integral is cut into
 pieces at its singular points, evaluated at exact offsets from them, with
 the tails mapped by x = a +- R/u; the conditionally convergent oscillatory
-integral switches to repeated integration by parts past a cutoff.  The n=3
-beta-like integral is the product of two such line integrals.  The n=2
+integral switches to repeated integration by parts past a cutoff.  The
+beta-like integral of any n >= 2, and with it the H integral, is a product
+of n-1 such line integrals, each with two singular points.  The n=2
 intertwining composition maps its outer integral's tails the same way,
 z = -x +- R/u, with nothing assumed about the inner operator at infinity,
 and refines whole batches of integrals at once: the inner integrals at its
@@ -29,7 +30,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -73,7 +73,7 @@ DEFAULT_QUAD = QuadratureConfig()
 
 
 # ---------------------------------------------------------------------------
-# singular products on the real line
+# two-point line integrals
 
 
 def _sgn_pow(x: float, eta: int) -> float:
@@ -100,94 +100,58 @@ def _power_product(d, beta, eta):
     return v
 
 
-class SingularProduct:
-    """An integrand const * prod_i |x - pos_i|^{beta_i - 1} sgn(x - pos_i)^{eta_i}.
+def _two_point_pieces(beta0: complex, beta1: complex, t: float):
+    """Cut the real line at the singular points p_0 = t != 0 and p_1 = 0 of
+    |x - t|^{beta0-1} |x|^{beta1-1} (times signs) into the six pieces of
+    panels.graded_integrals, int_0^{L_i} phi_i(h) h^{s_i - 1} dh with
+    phi_i(h) = c_i prod_j |A_ij + B_ij h|^{beta_j - 1} sgn(A_ij + B_ij h)^{eta_j}:
 
-    The point of the class (rather than a closure) is exact-offset
-    evaluation: _line_pieces cuts the line at the singular points and
-    evaluates each piece at the signed distance h from its point, so
-    |x - pos_i| = |h| is computed without the catastrophic cancellation of
-    reconstructing it from x = pos_i + h, and the other factors get
-    (pos_i - pos_j) + h.
-    """
+    - four near pieces x = p_a -+ h, kernel h^{beta_a - 1}, meeting their
+      neighbour at the midpoint and reaching R = |t| outward;
+    - two tails x = p_min - R/u and x = p_max + R/u, u in (0, 1], kernel
+      u^{s-1} with s = -(beta0 - 1) - (beta1 - 1) - 1, so that phi stays
+      smooth at u = 0 (the factors are multiplied by u, and dx = R du/u^2).
 
-    def __init__(self, terms, const: complex = 1.0):
-        pos, beta, eta = zip(*terms)
-        self.positions = np.array(pos, dtype=float)
-        self.betas = np.array(beta, dtype=complex)
-        self.etas = np.array(eta, dtype=int) % 2
-        self.const = complex(const)
-
-
-class _Pieces(NamedTuple):
-    """Pieces int_0^L phi(h) h^{s-1} dh of a batch of line integrals, with
-    phi(h) = c prod_j |A_j + B_j h|^{beta_j - 1} sgn(A_j + B_j h)^{eta_j}."""
-
-    row: np.ndarray  # the product each piece belongs to
-    anchor: np.ndarray  # the term whose singular point the piece starts at
-    tail: np.ndarray  # whether the piece is a tail, in the variable u
-    L: np.ndarray
-    s: np.ndarray
-    A: np.ndarray  # (pieces, terms)
-    B: np.ndarray
-    c: np.ndarray
-
-
-def _line_pieces(sp: SingularProduct) -> _Pieces:
-    """Cut the real line of each product of sp into pieces for
-    panels.graded_integrals: two near pieces x = pos_i -+ h at each singular
-    point, kernel h^{beta_i - 1}, meeting their neighbours' at the midpoints
-    and reaching R past the extreme points (R the distance between those, 1
-    for a single point); and two tail pieces x = pos_min - R/u and
-    x = pos_max + R/u, u in (0, 1], kernel u^{s-1} with the
-    complex s = -sum(beta_i - 1) - 1, so that phi stays smooth at u = 0.
-    Every factor is computed from exact offsets pos_i - pos_j."""
-    k = sp.betas.size
-    pos = sp.positions.reshape(-1, k)
-    m = pos.shape[0]
-    order = np.argsort(pos, axis=1)
-    p = np.take_along_axis(pos, order, axis=1)
-    gap = np.diff(p, axis=1)
-    if not np.all(gap > 0):
-        raise ValueError("coincident singular points are not supported")
-    R = p[:, -1] - p[:, 0] if k > 1 else np.ones(m)
-    reach = np.column_stack([R, gap / 2, R])
-    # per product: pieces left and right of each sorted point, then two tails
-    rank = np.concatenate([np.repeat(np.arange(k), 2), [0, k - 1]])
-    dirs = np.concatenate([np.tile([-1.0, 1.0], k), [-1.0, 1.0]])
-    tail = np.arange(rank.size) >= 2 * k
-    anchor = order[:, rank]
-    off = p[:, rank, None] - pos[:, None, :]
-    is_anchor = anchor[..., None] == np.arange(k)
-    d3, R3 = dirs[:, None], R[:, None, None]
-    A = np.where(tail[:, None], d3 * R3, np.where(is_anchor, d3, off))
-    B = np.where(tail[:, None], off, np.where(is_anchor, 0.0, d3))
-    L = np.where(tail, 1.0, reach[:, rank + (dirs > 0)])
-    s = np.where(tail, -(sp.betas - 1).sum() - 1, sp.betas[anchor])
-    c = sp.const * np.where(tail, R[:, None], 1.0)
-    return _Pieces(
-        np.repeat(np.arange(m), rank.size), anchor.ravel(), np.tile(tail, m),
-        L.ravel(), s.ravel(), A.reshape(-1, k), B.reshape(-1, k), c.ravel(),
+    Every A and B is an exact offset (0, +-1 or +-R), so |x - p_j| is never
+    reconstructed from x.  Returns (L, s, A, B, c), A and B of shape (6, 2)."""
+    pos = (t, 0.0)
+    R = abs(t)
+    lo, hi = (1, 0) if t > 0 else (0, 1)  # the points in ascending order
+    near = ((lo, -1.0, R), (lo, 1.0, R / 2), (hi, -1.0, R / 2), (hi, 1.0, R))
+    A = [[d if j == a else pos[a] - pos[j] for j in (0, 1)] for a, d, _ in near]
+    B = [[0.0 if j == a else d for j in (0, 1)] for a, d, _ in near]
+    for a, d in ((lo, -1.0), (hi, 1.0)):
+        A.append([d * R, d * R])
+        B.append([pos[a] - pos[j] for j in (0, 1)])
+    beta = (complex(beta0), complex(beta1))
+    s_tail = -((beta[0] - 1) + (beta[1] - 1)) - 1
+    return (
+        np.array([L for *_, L in near] + [1.0, 1.0]),
+        np.array([beta[a] for a, _, _ in near] + [s_tail, s_tail]),
+        np.array(A),
+        np.array(B),
+        np.array([1.0, 1.0, 1.0, 1.0, R, R]),
     )
 
 
-def integrate_product_line(sp: SingularProduct, cfg: QuadratureConfig):
-    """Integrate a SingularProduct over the whole real line, on the panel
-    rule of mirabolic.panels.
-
-    |sp(x)| decays like |x|^{Re sum(beta_i - 1)} at infinity; raises
-    ConvergenceRegionError unless that exponent is < -1.  Returns
-    (value, error_estimate)."""
-    if (sp.betas - 1).sum().real >= -1:
-        raise ConvergenceRegionError("integrand does not decay at infinity")
-    P = _line_pieces(sp)
+def _line_integral(beta0, eta0, beta1, eta1, t: float, cfg: QuadratureConfig):
+    """I2(t) = int_R k0(t - x) k1(x) dx, k_j(x) = |x|^{beta_j-1} sgn(x)^{eta_j},
+    on the panel rule of mirabolic.panels over the pieces of
+    _two_point_pieces, with k0(t - x) = (-1)^{eta0} |x - t|^{beta0-1}
+    sgn(x - t)^{eta0}.  Needs t != 0, Re beta_j > 0 and
+    Re(beta0 + beta1) < 1, the caller's region.  Returns (value, error
+    estimate)."""
+    L, s, A, B, c = _two_point_pieces(beta0, beta1, t)
+    c = complex((-1.0) ** (eta0 % 2)) * c
+    beta = np.array([beta0, beta1], dtype=complex)
+    eta = np.array([eta0, eta1]) % 2
 
     def phi(idx, h):
-        d = P.A[idx][:, None] + P.B[idx][:, None] * h[..., None]
-        return P.c[idx][:, None] * _power_product(d, sp.betas, sp.etas), None
+        d = A[idx][:, None] + B[idx][:, None] * h[..., None]
+        return c[idx][:, None] * _power_product(d, beta, eta), None
 
     val, est = graded_integrals(
-        phi, P.L, np.zeros(P.L.size), P.s, P.row, 1,
+        phi, L, np.zeros(L.size), s, np.zeros(L.size, int), 1,
         cfg.abs_tol, cfg.rel_tol, _MAX_PANELS,
     )
     return complex(val[0]), float(est[0])
@@ -270,8 +234,8 @@ def beta_like_closed(beta, eta, t_n: float) -> complex:
     if len(beta) != len(eta):
         raise ValueError("beta and eta must have equal length")
     t = float(t_n)
-    if t == 0:
-        raise ValueError("t_n must be nonzero")
+    if t == 0 or not math.isfinite(t):
+        raise ValueError("t_n must be finite and nonzero")
     total_b = sum(beta)
     total_e = sum(eta) % 2
     if G_delta_is_zero(total_b, total_e):
@@ -289,66 +253,70 @@ def _in_betalike_region(beta) -> bool:
     return all(b.real > 0 for b in beta) and sum(beta).real < 1
 
 
-def _betalike_product(beta0, eta0, beta1, eta1, t) -> SingularProduct:
-    """|t - t1|^{beta0-1} sgn(t-t1)^{eta0} |t1|^{beta1-1} sgn(t1)^{eta1}
-    as a SingularProduct in t1 (sgn(t-t1) = (-1)^{eta0} sgn(t1-t))."""
-    return SingularProduct(
-        [(t, beta0, eta0), (0.0, beta1, eta1)], const=(-1.0) ** (eta0 % 2)
-    )
-
-
 def beta_like_quadrature(beta, eta, t_n: float, cfg: QuadratureConfig = DEFAULT_QUAD) -> complex:
-    """The beta-like integral by line quadrature on the graded rule,
-    n = len(beta) in {2, 3} (n = 3 as a product of two n = 2 integrals, see
-    _beta_like_n3).  Certifies agreement with beta_like_closed."""
+    """The beta-like integral for n = len(beta) >= 2 by line quadrature on
+    the graded rule: n - 1 independent two-point line integrals, joined by
+    Fubini and homogeneity (see _beta_like_chain).  Certifies agreement with
+    beta_like_closed, so the check compares that numerical route with the
+    Gamma closed form.  Raises ValueError unless n >= 2, len(eta) = n and
+    t_n is finite and nonzero, and ConvergenceRegionError outside the
+    absolute-convergence region."""
     beta = [complex(b) for b in beta]
     eta = [int(e) for e in eta]
-    n = len(beta)
-    if n not in (2, 3):
-        raise ValueError("quadrature oracle implemented for n in {2, 3}")
+    if len(beta) < 2 or len(eta) != len(beta):
+        raise ValueError("need len(beta) = len(eta) >= 2")
+    t = float(t_n)
+    if t == 0 or not math.isfinite(t):
+        raise ValueError("t_n must be finite and nonzero")
     if not _in_betalike_region(beta):
         raise ConvergenceRegionError(
             "need Re beta_j > 0 and Re(sum beta) < 1 for absolute convergence"
         )
-    t = float(t_n)
-    if n == 2:
-        sp = _betalike_product(beta[0], eta[0], beta[1], eta[1], t)
-        val, est = integrate_product_line(sp, cfg)
-    else:
-        val, est = _beta_like_n3(beta, eta, t, cfg)
-    closed = beta_like_closed(beta, eta, t)
-    _certify(val, est, closed, cfg)
+    val, est = _beta_like_chain(beta, eta, t, cfg)
+    _certify(val, est, beta_like_closed(beta, eta, t), cfg)
     return val
 
 
-def _beta_like_n3(beta, eta, t: float, cfg: QuadratureConfig):
-    """The n=3 beta-like integral as a product of two n=2 line integrals.
+def _beta_like_chain(beta, eta, t: float, cfg: QuadratureConfig):
+    """The beta-like integral for n = len(beta) >= 2 as a product of n - 1
+    two-point line integrals.  Returns (value, error estimate).
 
-    Write k_j(x) = |x|^{beta_j-1} sgn(x)^{eta_j}, so that the n=2 integral
-    I2(beta0, eta0; beta1, eta1; t) is the convolution (k0 * k1)(t) and the
-    n=3 one is (k0 * k1 * k2)(t) = int inner(t - t2) k2(t2) dt2, with
-    inner = k0 * k1.  Substituting t1 = |t'| u in inner(t') (Fubini makes
-    the order of integration free, the region keeps every integral
-    absolutely convergent) shows that inner is homogeneous:
-    inner(t') = inner(1) |t'|^{b-1} sgn(t')^{eta0+eta1}, b = beta0 + beta1.
-    So inner = inner(1) k_b with parity eta0 + eta1, and
+    Write k_j(x) = |x|^{beta_j-1} sgn(x)^{eta_j}, so that the beta-like
+    integral is the convolution I_n(t) = (k_0 * ... * k_{n-1})(t) and
+    I2(beta0, eta0; beta1, eta1; t) = (k0 * k1)(t) is one _line_integral.
+    Induction step: substituting x = |t'| y in (k_0 * ... * k_{j-1})(t')
+    (Fubini makes the order of integration free; in the region every
+    partial sum b_j = beta_0 + ... + beta_j has 0 < Re b_j < 1, so every
+    integral converges absolutely) shows that it is homogeneous,
+    I_j(1) |t'|^{b_{j-1}-1} sgn(t')^{eta_0+...+eta_{j-1}}, i.e. I_j(1)
+    times the kernel with exponent b_{j-1} and the summed parity.  So
+    I_{j+1}(t) = I_j(1) I2(b_{j-1}, eta_0+...+eta_{j-1}; beta_j, eta_j; t),
+    and unrolled
 
-        I3(t) = I2(beta0, eta0; beta1, eta1; 1)
-                * I2(b, eta0 + eta1; beta2, eta2; t).
+        I_n(t) = I2(b_0; beta_1; 1) ... I2(b_{n-3}; beta_{n-2}; 1)
+                 * I2(b_{n-2}; beta_{n-1}; t),
 
-    Each factor is one integrate_product_line call at cfg/3; the product
-    (v1, e1) (v2, e2) gets the estimate |v1| e2 + |v2| e1 + e1 e2.  The
-    check against beta_like_closed still compares an independent numerical
-    route with the n=3 Gamma closed form; Fubini and homogeneity, two exact
-    theorems, are used rather than integrated numerically."""
-    third = QuadratureConfig(cfg.abs_tol / 3, cfg.rel_tol / 3)
-    v1, e1 = integrate_product_line(
-        _betalike_product(beta[0], eta[0], beta[1], eta[1], 1.0), third
-    )
-    v2, e2 = integrate_product_line(
-        _betalike_product(beta[0] + beta[1], eta[0] + eta[1], beta[2], eta[2], t), third
-    )
-    return v1 * v2, abs(v1) * e2 + abs(v2) * e1 + e1 * e2
+    the parities summed the same way.
+
+    Each of the m = n - 1 factors runs at cfg/(2m - 1): cfg itself for
+    n = 2, a third for n = 3.  m factors of relative error at most
+    e = r/(2m - 1) give a product of relative error at most
+    (1 + e)^m - 1 <= m e/(1 - m e/2) <= r whenever r <= 2(m - 1)/m, so
+    whenever rel_tol <= 1 for n >= 3.  The estimates compose exactly: with
+    |V - V*| <= E and |v - v*| <= e,
+    |V v - V* v*| <= |V| e + |v| E + E e, accumulated factor by factor
+    from (V, E) = (1, 0); for n = 3 that is |v1| e2 + |v2| e1 + e1 e2.
+    Fubini and homogeneity are exact theorems, used rather than integrated
+    numerically."""
+    m = len(beta) - 1
+    part = QuadratureConfig(cfg.abs_tol / (2 * m - 1), cfg.rel_tol / (2 * m - 1))
+    b, e = beta[0], eta[0]
+    val, est = 1.0, 0.0
+    for k in range(1, m + 1):
+        v, err = _line_integral(b, e, beta[k], eta[k], t if k == m else 1.0, part)
+        val, est = val * v, abs(val) * err + abs(v) * est + est * err
+        b, e = b + beta[k], e + eta[k]
+    return val, est
 
 
 def _certify(val: complex, est: float, closed: complex, cfg: QuadratureConfig):
@@ -463,6 +431,8 @@ def oscillatory_integral(
 
 
 def _h_parameters(lam, delta, nu, n, eta, epsilon):
+    if n < 2:
+        raise ValueError("the H integral needs n >= 2")
     lam = [complex(x) for x in lam]
     delta = [int(x) for x in delta]
     if len(lam) != 2 * n or len(delta) != 2 * n:
@@ -486,18 +456,22 @@ def h_integral(
     eta: int,
     cfg: QuadratureConfig = DEFAULT_QUAD,
 ):
-    """The x-integral H of the pairing functional equation.
+    """The x-integral H of the pairing functional equation, n >= 2.
 
-    Returns (closed, quadrature); quadrature is None unless n = 2 and the
-    parameters lie in the absolute-convergence region of the beta-like
-    lemma.  The closed form is the signed beta-like ratio at t = 1."""
+    H is the signed beta-like integral at t = 1, H = sign * BL(beta, eta; 1),
+    with beta_0 = nu - n/2 + 1, beta_j = 1/2 - lambda_{n+j} - lambda_{n+1-j}
+    - nu/n and the parities and sign of _h_parameters.  Returns (closed,
+    quadrature): closed is sign times beta_like_closed at t = 1; quadrature
+    is sign times _beta_like_chain, n - 1 independent line integrals joined
+    by Fubini and homogeneity, certified against closed, or None outside
+    the absolute-convergence region of the beta-like lemma.  Raises
+    ValueError for n < 2."""
     beta, etas, sign = _h_parameters(lam, delta, nu, n, eta, epsilon)
     closed = sign * beta_like_closed(beta, etas, 1.0)
-    if n != 2 or not _in_betalike_region(beta):
+    if not _in_betalike_region(beta):
         return closed, None
-    # |1+x|^{beta0-1} sgn(1+x)^{eps} |x|^{beta1-1} sgn(x)^{eta1}
-    sp = SingularProduct([(-1.0, beta[0], epsilon), (0.0, beta[1], etas[1])])
-    val, est = integrate_product_line(sp, cfg)
+    val, est = _beta_like_chain(beta, etas, 1.0, cfg)
+    val = sign * val
     _certify(val, est, closed, cfg)
     return closed, val
 

@@ -166,13 +166,13 @@ def test_verify_betalike_suite(capsys):
     assert env["result"]["pass"] is True
     (suite,) = env["result"]["suites"]
     assert suite["suite"] == "betalike" and suite["pass"] is True
-    assert len(suite["cases"]) == 5
+    assert [len(case["inputs"]["beta"]) for case in suite["cases"]] == [2, 2, 2, 2, 3, 4]
     for case in suite["cases"]:
         assert case["pass"] and case["rel_err"] is not None
 
 
 def test_verify_betalike_meets_tight_tol(capsys):
-    # every case, n = 3 included, meets the suite's own tolerance
+    # every case, n = 3 and n = 4 included, meets the suite's own tolerance
     code, out, _ = run(capsys, "verify", "--suite", "betalike", "--tol", "1e-9")
     assert code == EXIT_OK
     (suite,) = json.loads(out)["result"]["suites"]
