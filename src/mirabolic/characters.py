@@ -20,9 +20,12 @@ characters are built one cyclic factor at a time from the discrete logs.
 from __future__ import annotations
 
 import cmath
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -143,9 +146,15 @@ class _UnitGroup:
 
     @cached_property
     def exponent_labels(self) -> list[str]:
-        """exponent_labels[k] = str(Fraction(k, L))."""
+        """exponent_labels[k] is k/L in lowest terms, "p/q", and "0" for
+        k = 0, the one k in [0, L) whose reduced denominator is 1: the text
+        str(Fraction(k, L)) would give, by integer gcd."""
         L = self.root_order
-        return [str(Fraction(k, L)) for k in range(L)]
+        labels = ["0"]
+        for k in range(1, L):
+            g = gcd(k, L)
+            labels.append(f"{k // g}/{L // g}")
+        return labels
 
 
 @lru_cache(maxsize=64)
@@ -199,11 +208,15 @@ class DirichletCharacter:
     def exponents(self) -> dict[int, Fraction]:
         """Each unit residue a mapped to the Fraction q in [0,1) with
         psi(a) = e(q), built from the row on each access."""
+        from fractions import Fraction
+
         L = self._group.root_order
         return {a: Fraction(k, L) for a, k in zip(self._group.units, self.row)}
 
     def exponent(self, a: int) -> Fraction | None:
         """Exact exponent q with psi(a) = e(q), or None when gcd(a, N) > 1."""
+        from fractions import Fraction
+
         i = self._group.position[a % self.modulus]
         return None if i is None else Fraction(self.row[i], self._group.root_order)
 

@@ -6,10 +6,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import TYPE_CHECKING
 
-from . import __version__, gamma_factors
+from . import __version__
 from .errors import MirabolicError, ParseError, ToleranceNotMetError
 
 if TYPE_CHECKING:
@@ -117,11 +118,20 @@ def _csv_walk(prefix: str, obj, lines: list[str]) -> None:
 # chars
 
 
+def _characters(modulus: int) -> list:
+    """The characters mod --modulus; a modulus below 1 is a usage error."""
+    from . import characters
+
+    if modulus < 1:
+        raise ParseError(f"--modulus must be positive, got {modulus}")
+    return characters.enumerate_characters(modulus)
+
+
 def cmd_chars(args) -> dict:
     from . import characters
 
     N = args.modulus
-    chars = characters.enumerate_characters(N)
+    chars = _characters(N)
     inputs = {"modulus": N}
     if args.list:
         result = {
@@ -152,13 +162,16 @@ def cmd_chars(args) -> dict:
 
 
 def _eis_params(args) -> EisParams:
-    from . import characters, eisenstein
+    from . import eisenstein
+    from .special import parse_complex
 
-    chars = characters.enumerate_characters(args.modulus)
+    if args.n < 2:
+        raise ParseError(f"--n must be at least 2, got {args.n}")
+    chars = _characters(args.modulus)
     if not 0 <= args.char_index < len(chars):
         raise ParseError(f"char index out of range (have {len(chars)})")
     psi = chars[args.char_index]
-    return eisenstein.EisParams(args.n, gamma_factors.parse_complex(args.nu), psi, psi.parity)
+    return eisenstein.EisParams(args.n, parse_complex(args.nu), psi, psi.parity)
 
 
 def cmd_eis(args) -> dict:
@@ -186,6 +199,8 @@ def cmd_eis(args) -> dict:
     )
     if args.r_box is not None:
         B = args.r_box
+        if B < 0:
+            raise ParseError(f"--r-box must be nonnegative, got {B}")
         inputs["r_box"] = B
         import itertools
 
@@ -199,7 +214,12 @@ def cmd_eis(args) -> dict:
         return _envelope("eis", inputs, result)
     if args.r is None:
         raise ParseError("eis requires --r, --r-box, or --pole")
-    r = tuple(int(x) for x in args.r.split(","))
+    try:
+        r = tuple(int(x) for x in args.r.split(","))
+    except ValueError:
+        raise ParseError(f"bad --r {args.r!r} (expected integers joined by commas)") from None
+    if len(r) != args.n - 1:
+        raise ParseError(f"--r must have n-1 = {args.n - 1} components, got {len(r)}")
     inputs["r"] = list(r)
     result = {"r": list(r), "value": _c(coeff(params, r))}
     return _envelope("eis", inputs, result)
@@ -210,6 +230,9 @@ def cmd_eis(args) -> dict:
 
 
 def cmd_gamma(args) -> dict:
+    from . import gamma_factors
+    from .special import parse_complex
+
     rep = gamma_factors.parse_rep(args.rep)
     inputs = {"rep": args.rep, "functor": args.functor}
     if args.functor == "tensor":
@@ -233,7 +256,7 @@ def cmd_gamma(args) -> dict:
         "dimension": out.dimension,
     }
     if args.eval is not None:
-        s = gamma_factors.parse_complex(args.eval)
+        s = parse_complex(args.eval)
         inputs["eval"] = _c(s)
         result["value"] = _c(gamma_factors.evaluate_gamma_product(g, s))
     if args.embedding:
@@ -419,9 +442,11 @@ _SUITES = {
 
 
 def cmd_verify(args) -> tuple[dict, bool]:
+    tol = args.tol
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ParseError(f"--tol must be positive and finite, got {tol}")
     from . import fe_verify
 
-    tol = args.tol
     base = fe_verify.DEFAULT_QUAD
     cfg = fe_verify.QuadratureConfig(
         abs_tol=min(base.abs_tol, tol / 10), rel_tol=min(base.rel_tol, tol)

@@ -19,37 +19,38 @@ from __future__ import annotations
 
 import cmath
 import itertools
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
+from typing import TYPE_CHECKING
 
 from .characters import DirichletCharacter, divisors, euler_phi, finite_fourier
-from .errors import ConvergenceRegionError, PoleError
+from .errors import ConvergenceRegionError, PoleError, _Value
 from .special import dirichlet_L, residue_L_at_1, riemann_zeta
 
+if TYPE_CHECKING:
+    from fractions import Fraction
 
-@dataclass(frozen=True)
-class EisParams:
+
+class EisParams(_Value):
     """Parameter bundle (n, nu, psi, epsilon) of a mirabolic Eisenstein
     distribution of level N = psi.modulus."""
 
-    n: int
-    nu: complex
-    psi: DirichletCharacter
-    epsilon: int
+    __slots__ = ("n", "nu", "psi", "epsilon")
 
-    def __post_init__(self):
-        if self.n < 2:
+    def __init__(self, n: int, nu: complex, psi: DirichletCharacter, epsilon: int):
+        if n < 2:
             raise ValueError("n must be at least 2")
-        if self.epsilon not in (0, 1):
+        if epsilon not in (0, 1):
             raise ValueError("epsilon must be 0 or 1")
-        if self.psi.parity != self.epsilon:
+        if psi.parity != epsilon:
             # psi(-1) = (-1)^epsilon is forced; otherwise the series is 0.
             raise ValueError(
-                f"parity mismatch: psi(-1) = (-1)^{self.psi.parity}, "
-                f"epsilon = {self.epsilon}"
+                f"parity mismatch: psi(-1) = (-1)^{psi.parity}, epsilon = {epsilon}"
             )
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "psi", psi)
+        object.__setattr__(self, "epsilon", epsilon)
 
     @property
     def level(self) -> int:
@@ -60,12 +61,14 @@ class EisParams:
         return self.n / 2
 
 
-@dataclass(frozen=True)
-class DeltaAtom:
+class DeltaAtom(_Value):
     """A point mass: weight * delta at a rational point of the (n-1)-torus."""
 
-    location: tuple[Fraction, ...]
-    weight: complex
+    __slots__ = ("location", "weight")
+
+    def __init__(self, location: tuple[Fraction, ...], weight: complex):
+        object.__setattr__(self, "location", location)
+        object.__setattr__(self, "weight", weight)
 
 
 def _gcd_vec(r) -> int:
@@ -180,6 +183,8 @@ def delta_atom_sum(
     over 0..height_cutoff (the positivity-constrained one over 1..cutoff);
     zero weights psi(v_n) = 0 are omitted.
     """
+    from fractions import Fraction
+
     if cell not in ("big", "wlong"):
         raise ValueError("cell must be 'big' or 'wlong'")
     n, nu, psi = params.n, complex(params.nu), params.psi
@@ -265,20 +270,24 @@ def s_from_nu(n: int, nu: complex) -> complex:
     return complex(nu) / n + 0.5
 
 
-@dataclass(frozen=True)
-class Ramified:
+class Ramified(_Value):
     """Marker for a local character component ramified at p, with its
     ramification degree (the exponent of the conductor at p)."""
 
-    degree: int
+    __slots__ = ("degree",)
+
+    def __init__(self, degree: int):
+        object.__setattr__(self, "degree", degree)
 
 
-@dataclass(frozen=True)
-class RamifiedConstant:
+class RamifiedConstant(_Value):
     """Symbolic classification of a ramified local integral: a nonzero
     constant (not pinned down) times psi(v_n)."""
 
-    description: str = "constant * psi(v_n)"
+    __slots__ = ("description",)
+
+    def __init__(self, description: str = "constant * psi(v_n)"):
+        object.__setattr__(self, "description", description)
 
 
 def local_euler_factor(

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,6 +40,7 @@ from .errors import (
     PoleError,
     StripError,
     ToleranceNotMetError,
+    _Value,
 )
 from .eisenstein import EisParams, nu_from_s
 from .panels import _kernel_powers, graded_integrals
@@ -56,17 +56,17 @@ _PAIR_NORM_TOL = 1e-9  # |sum lambda| accepted as zero by the pairing scalars
 _WINDOW = 1.0
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
+class QuadratureConfig(_Value):
     """Tolerances for the quadrature oracles, which all run on the panel
     rule of mirabolic.panels."""
 
-    abs_tol: float = 1e-9
-    rel_tol: float = 1e-7
+    __slots__ = ("abs_tol", "rel_tol")
 
-    def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
+    def __init__(self, abs_tol: float = 1e-9, rel_tol: float = 1e-7):
+        if abs_tol <= 0 or rel_tol <= 0:
             raise ValueError("tolerances must be positive")
+        object.__setattr__(self, "abs_tol", abs_tol)
+        object.__setattr__(self, "rel_tol", rel_tol)
 
 
 DEFAULT_QUAD = QuadratureConfig()

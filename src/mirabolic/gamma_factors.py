@@ -13,11 +13,9 @@ expanded as Gamma_R(shift) Gamma_R(shift+1), the multiset sorted.
 
 from __future__ import annotations
 
-import cmath
 import re as _re
-from dataclasses import dataclass
 
-from .errors import EmptyRepresentationError, ParseError, PoleError
+from .errors import EmptyRepresentationError, ParseError, PoleError, _Value
 from .principal_series import PSParams
 from .special import (
     _is_nonpositive_even_integer,
@@ -25,6 +23,7 @@ from .special import (
     finite_exp,
     log_gamma_C,
     log_gamma_R,
+    parse_complex,
 )
 
 TRIV = "triv"
@@ -32,22 +31,22 @@ SGN = "sgn"
 DISCRETE = "D"
 
 
-@dataclass(frozen=True)
-class SigmaBlock:
+class SigmaBlock(_Value):
     """One twisted block sigma[s]: kind in {triv, sgn, D}; k is the discrete
     series weight (0 for the GL(1) kinds); shift is the twist s."""
 
-    kind: str
-    k: int
-    shift: complex
+    __slots__ = ("kind", "k", "shift")
 
-    def __post_init__(self):
-        if self.kind not in (TRIV, SGN, DISCRETE):
-            raise ValueError(f"unknown block kind {self.kind!r}")
-        if self.kind == DISCRETE and self.k < 2:
+    def __init__(self, kind: str, k: int, shift: complex):
+        if kind not in (TRIV, SGN, DISCRETE):
+            raise ValueError(f"unknown block kind {kind!r}")
+        if kind == DISCRETE and k < 2:
             raise ValueError("discrete series weight must be >= 2 (D_1 is triv+sgn)")
-        if self.kind != DISCRETE and self.k != 0:
+        if kind != DISCRETE and k != 0:
             raise ValueError("GL(1) blocks carry no weight")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "shift", shift)
 
     @property
     def dimension(self) -> int:
@@ -89,13 +88,15 @@ def discrete(k: int, shift: complex = 0) -> "IsobaricSum":
     return IsobaricSum((SigmaBlock(DISCRETE, k, complex(shift)),))
 
 
-@dataclass(frozen=True)
-class IsobaricSum:
+class IsobaricSum(_Value):
     """A formal boxplus-sum of blocks.  Insertion order is preserved for
     display and embedding parameters, but equality and hashing are by
     multiset, so order is never observable structurally."""
 
-    blocks: tuple[SigmaBlock, ...] = ()
+    __slots__ = ("blocks",)
+
+    def __init__(self, blocks: tuple[SigmaBlock, ...] = ()):
+        object.__setattr__(self, "blocks", blocks)
 
     def _multiset(self):
         return tuple(sorted(self.blocks, key=SigmaBlock._sort_key))
@@ -210,11 +211,13 @@ def sgn_twist(p: IsobaricSum, eta: int) -> IsobaricSum:
     return IsobaricSum(tuple(out))
 
 
-@dataclass(frozen=True)
-class GammaProduct:
+class GammaProduct(_Value):
     """A finite product of Gamma_R(s+shift) / Gamma_C(s+shift) factors."""
 
-    factors: tuple[tuple[str, complex], ...] = ()
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: tuple[tuple[str, complex], ...] = ()):
+        object.__setattr__(self, "factors", factors)
 
     def to_record(self) -> list[dict]:
         return [
@@ -324,22 +327,6 @@ def validate_generic_unitary(p: IsobaricSum, tol: float = 1e-9) -> list[str]:
 
 
 _BLOCK_RE = _re.compile(r"(triv|sgn|D(\d+))(?:\[([^\]]*)\])?")
-
-
-def parse_complex(text: str, position: int | None = None) -> complex:
-    """A finite complex number written `re` or `re,im` (a CLI flag or a
-    twist of the rep grammar); ParseError, carrying position, when malformed
-    or when a part is inf or nan."""
-    parts = text.split(",")
-    try:
-        z = complex(*map(float, parts)) if len(parts) <= 2 else None
-    except ValueError:
-        z = None
-    if z is None:
-        raise ParseError(f"bad complex value {text!r} (expected re or re,im)", position)
-    if not cmath.isfinite(z):
-        raise ParseError(f"non-finite complex value {text!r}", position)
-    return z
 
 
 def parse_rep(text: str) -> IsobaricSum:

@@ -10,27 +10,29 @@ Coefficient maps are sparse dictionaries keyed by (n-1)-tuples of Fractions
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .errors import ZeroComponentError, ZeroEntryError
+from .errors import ZeroComponentError, ZeroEntryError, _Value
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
-@dataclass(frozen=True)
-class PSParams:
+class PSParams(_Value):
     """Parameters (lambda, delta) of a principal series of GL(n, R)."""
 
-    n: int
-    lam: tuple[complex, ...]
-    delta: tuple[int, ...]
+    __slots__ = ("n", "lam", "delta")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, lam: tuple[complex, ...], delta: tuple[int, ...]):
+        if n < 1:
             raise ValueError("n must be positive")
-        if len(self.lam) != self.n or len(self.delta) != self.n:
+        if len(lam) != n or len(delta) != n:
             raise ValueError("lambda and delta must both have length n")
-        if any(d not in (0, 1) for d in self.delta):
+        if any(d not in (0, 1) for d in delta):
             raise ValueError("delta entries must be parity bits")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "delta", delta)
 
     def to_record(self) -> dict:
         return {
@@ -42,6 +44,8 @@ class PSParams:
 
 def rho(n: int) -> tuple[Fraction, ...]:
     """The half-sum vector ((n-1)/2, (n-3)/2, ..., (1-n)/2)."""
+    from fractions import Fraction
+
     if n < 1:
         raise ValueError("n must be positive")
     return tuple(Fraction(n - 1 - 2 * j, 2) for j in range(n))

@@ -17,17 +17,19 @@ B_2 .. B_50; a sum beyond the double range raises ValueOverflowError.
 Dirichlet L-functions are assembled from it as
 L(s, psi) = N^{-s} sum_a psi(a) zeta(s, a/N), which continues L to the whole
 plane (minus s=1 for principal psi).
+
+parse_complex reads a complex argument as the CLI flags and the twists of
+the rep grammar write it, `re` or `re,im`.
 """
 
 from __future__ import annotations
 
 import cmath
-from fractions import Fraction
 from functools import lru_cache
-from math import ceil, comb, copysign, factorial, floor, lgamma, log, nan, pi
+from math import ceil, comb, copysign, factorial, floor, gcd, lgamma, log, nan, pi
 from typing import TYPE_CHECKING
 
-from .errors import NotPrincipalError, PoleError, ValueOverflowError
+from .errors import NotPrincipalError, ParseError, PoleError, ValueOverflowError
 
 if TYPE_CHECKING:
     from .characters import DirichletCharacter
@@ -73,6 +75,22 @@ def finite_exp(z: complex, what: str) -> complex:
     if not cmath.isfinite(value):
         raise PoleError(f"{what} evaluated to a non-finite value")
     return value
+
+
+def parse_complex(text: str, position: int | None = None) -> complex:
+    """A finite complex number written `re` or `re,im` (a CLI flag or a
+    twist of the rep grammar); ParseError, carrying position, when malformed
+    or when a part is inf or nan."""
+    parts = text.split(",")
+    try:
+        z = complex(*map(float, parts)) if len(parts) <= 2 else None
+    except ValueError:
+        z = None
+    if z is None:
+        raise ParseError(f"bad complex value {text!r} (expected re or re,im)", position)
+    if not cmath.isfinite(z):
+        raise ParseError(f"non-finite complex value {text!r}", position)
+    return z
 
 
 def log_gamma(s: complex) -> complex:
@@ -184,14 +202,23 @@ def G_delta(s: complex, delta: int) -> complex:
 
 @lru_cache(maxsize=None)
 def _even_bernoulli() -> tuple[float, ...]:
-    """B_0, B_2, ..., B_{2 _EM_DEPTH} as floats, each the rounding of the
-    exact value from sum_{k=0}^{2m} C(2m+1, k) B_k = 0 (B_1 = -1/2, and
-    B_k = 0 for odd k >= 3)."""
-    exact = [Fraction(1)]
+    """B_0, B_2, ..., B_{2 _EM_DEPTH} as floats, each the correctly rounded
+    quotient p/q of the exact value, kept as a reduced integer pair (p, q),
+    q > 0, through the recurrence sum_{k=0}^{2m} C(2m+1, k) B_k = 0
+    (B_1 = -1/2, and B_k = 0 for odd k >= 3):
+    B_2m = ((2m-1)/2 - sum_{j=1}^{m-1} C(2m+1, 2j) B_2j) / (2m+1)."""
+    exact = [(1, 1)]
     for m in range(1, _EM_DEPTH + 1):
-        rest = sum(comb(2 * m + 1, 2 * j) * exact[j] for j in range(1, m))
-        exact.append((Fraction(2 * m - 1, 2) - rest) / (2 * m + 1))
-    return tuple(float(b) for b in exact)
+        p, q = 2 * m - 1, 2
+        for j in range(1, m):
+            pj, qj = exact[j]
+            p, q = p * qj - comb(2 * m + 1, 2 * j) * pj * q, q * qj
+            g = gcd(p, q)
+            p, q = p // g, q // g
+        q *= 2 * m + 1
+        g = gcd(p, q)
+        exact.append((p // g, q // g))
+    return tuple(p / q for p, q in exact)
 
 
 @lru_cache(maxsize=None)

@@ -20,6 +20,7 @@ from mirabolic.characters import (
     euler_phi,
     finite_fourier,
     gauss_sum,
+    _unit_group,
     _unit_group_structure,
     divisors,
     is_primitive,
@@ -217,6 +218,13 @@ def fraction_characters(N):
 ORACLE_MODULI = [1, 2, 4, 8, 9, 16, 15, 40, 60, 120, 210, 240]
 
 
+@pytest.mark.parametrize("N", [1, 2, 12, 997, 1000, 1100, 2310])
+def test_exponent_labels_match_fraction_text(N):
+    # the labels are reduced by integer gcd; str(Fraction(k, L)) is the oracle
+    L = _unit_group(N).root_order
+    assert _unit_group(N).exponent_labels == [str(Fraction(k, L)) for k in range(L)]
+
+
 @pytest.fixture(scope="module")
 def both_tables():
     return {N: (enumerate_characters(N), fraction_characters(N)) for N in ORACLE_MODULI}
@@ -230,6 +238,7 @@ def test_integer_rows_match_fraction_oracle(N, both_tables):
         assert psi.exponents == ref.exponents
         assert all(isinstance(q, Fraction) for q in psi.exponents.values())
         assert all(psi.exponent(a) == ref.exponents.get(a % N) for a in range(-N, 2 * N))
+        assert all(isinstance(psi.exponent(a), Fraction) for a in psi.units)
         assert psi.to_record() == ref.to_record()
         assert psi.inverse().exponents == ref.inverse().exponents
         assert psi.parity == ref.parity

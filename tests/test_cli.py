@@ -134,6 +134,34 @@ def test_gamma_non_finite_eval_is_usage_error(capsys, flag):
     assert "non-finite" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("chars", "--modulus", "0", "--list"),
+        ("chars", "--modulus", "-4", "--index", "0"),
+        ("eis", "--n", "1", "--nu", "2", "--modulus", "7", "--r", "1"),
+        ("eis", "--n", "3", "--nu", "2,1", "--modulus", "0", "--r", "1,2"),
+        ("eis", "--n", "3", "--nu", "2,1", "--modulus", "7", "--r", "1,a"),
+        ("eis", "--n", "3", "--nu", "2,1", "--modulus", "7", "--r", "1"),
+        ("eis", "--n", "3", "--nu", "2,1", "--modulus", "7", "--r-box", "-1"),
+        ("verify", "--suite", "fe", "--tol", "0"),
+        ("verify", "--suite", "fe", "--tol", "nan"),
+    ],
+    ids=[
+        "chars-modulus-0", "chars-modulus-negative", "eis-n-1", "eis-modulus-0",
+        "eis-r-not-int", "eis-r-length", "eis-r-box-negative", "verify-tol-0",
+        "verify-tol-nan",
+    ],
+)
+def test_bad_flag_is_usage_error(capsys, argv):
+    # a flag outside its domain is a usage error: exit 2 and one `error:`
+    # line, never a traceback and never exit 1, the verification-failure code
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_gamma_embedding_and_validate(capsys):
     code, out, _ = run(
         capsys,
@@ -287,13 +315,17 @@ def test_cli_command_runs_without_scipy(argv):
         for line in out.stderr.splitlines()
         if line.startswith("import time:")
     ]
-    # gamma needs no character, so it leaves out characters; only verify
+    # gamma needs no character and chars no special function; only verify
     # reaches the quadrature layers, the one part that uses numpy
-    required = {"mirabolic.special"}
-    if argv[0] != "gamma":
-        required.add("mirabolic.characters")
-    if argv[0] == "verify":
-        required |= {"mirabolic.fe_verify", "mirabolic.panels", "numpy"}
+    required = {
+        "chars": {"mirabolic.characters"},
+        "gamma": {"mirabolic.special"},
+        "eis": {"mirabolic.characters", "mirabolic.special"},
+        "verify": {
+            "mirabolic.characters", "mirabolic.special", "mirabolic.fe_verify",
+            "mirabolic.panels", "numpy",
+        },
+    }[argv[0]]
     assert required <= set(imported)
     assert not [m for m in imported if m == "scipy" or m.startswith("scipy.")]
     result = json.loads(out.stdout)["result"]
@@ -305,6 +337,12 @@ def test_cli_command_runs_without_scipy(argv):
         assert [s["suite"] for s in result["suites"]] == [
             "betalike", "oscillatory", "fe", "intertwine"
         ]
+
+
+# stdlib modules that a cold start of gamma, chars or eis does not load:
+# dataclasses pulls in inspect (and with it ast, dis and tokenize), and
+# fractions pulls in decimal
+HEAVY_STDLIB = {"dataclasses", "fractions", "decimal", "inspect"}
 
 
 @pytest.mark.parametrize(
@@ -324,8 +362,10 @@ def test_cli_command_runs_without_scipy(argv):
 )
 def test_cli_command_runs_without_numpy(argv):
     # the Gamma-factor calculus, the characters and the Eisenstein
-    # coefficients are pure Python, so these runs pay for no numpy import;
-    # -X importtime logs every module the run imports
+    # coefficients are pure Python, so these runs pay for no numpy import,
+    # nor for the stdlib modules behind dataclasses and Fraction; chars
+    # loads no layer but its own.  -X importtime logs every module the run
+    # imports
     out = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "mirabolic.cli", *argv],
         env=child_env(), capture_output=True, text=True,
@@ -340,6 +380,9 @@ def test_cli_command_runs_without_numpy(argv):
     layer = {"gamma": "gamma_factors", "chars": "characters", "eis": "eisenstein"}[command]
     assert f"mirabolic.{layer}" in imported
     assert not [m for m in imported if m == "numpy" or m.startswith("numpy.")]
+    assert not HEAVY_STDLIB & set(imported)
+    if command == "chars":
+        assert not {"mirabolic.gamma_factors", "mirabolic.special"} & set(imported)
     if "csv" in argv:
         assert out.stdout.startswith("key,value\n")
     elif command == "gamma":
@@ -350,18 +393,23 @@ def test_cli_command_runs_without_numpy(argv):
 
 def test_package_import_leaves_out_numpy():
     # the package and the CLI module load their layers lazily, and the
-    # characters and Eisenstein layers are pure Python
+    # characters and Eisenstein layers are pure Python; a bare import of the
+    # CLI loads no layer at all, and no heavy stdlib module
     code = (
         "import sys; import mirabolic; a = 'numpy' in sys.modules; "
         "import mirabolic.cli; b = 'numpy' in sys.modules; "
+        "cli = sorted(m for m in sys.modules if m.startswith('mirabolic.')); "
+        f"heavy = sorted({sorted(HEAVY_STDLIB)!r} & sys.modules.keys()); "
         "import mirabolic.characters, mirabolic.eisenstein; "
-        "print(a, b, 'numpy' in sys.modules)"
+        "print(a, b, 'numpy' in sys.modules, ' '.join(cli), ' '.join(heavy) or '-')"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True
     )
     assert out.returncode == 0, f"child interpreter failed:\n{out.stderr}"
-    assert out.stdout.split() == ["False", "False", "False"]
+    assert out.stdout.split() == [
+        "False", "False", "False", "mirabolic.cli", "mirabolic.errors", "-"
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -163,6 +163,9 @@ def test_delta_atom_worked_example():
     atoms = delta_atom_sum(p, "wlong", 1)
     locs = sorted(a.location for a in atoms)
     assert locs == [(Fraction(0),), (Fraction(1),)]
+    p3 = trivial_params(3, 4.0)
+    atoms3 = [a for cell in ("big", "wlong") for a in delta_atom_sum(p3, cell, 2)]
+    assert atoms3 and all(isinstance(x, Fraction) for a in atoms3 for x in a.location)
     for a in atoms:
         assert abs(a.weight - 1.0) < 1e-14
 

@@ -32,6 +32,7 @@ def test_rho_values():
     assert rho(2) == (Fraction(1, 2), Fraction(-1, 2))
     assert rho(3) == (Fraction(1), Fraction(0), Fraction(-1))
     assert sum(rho(7)) == 0
+    assert all(isinstance(x, Fraction) for n in (1, 2, 3, 6) for x in rho(n))
 
 
 def test_chi_eval_is_multiplicative_in_b():

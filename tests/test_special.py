@@ -22,6 +22,7 @@ from mirabolic.special import (
     G_delta_is_pole,
     G_delta_is_zero,
     _euler_maclaurin_coefficients,
+    _even_bernoulli,
     _stirling_coefficients,
     dirichlet_L,
     gamma_C,
@@ -173,6 +174,16 @@ def test_series_coefficients_from_exact_bernoulli_numbers():
     for k, coeff in enumerate(_stirling_coefficients(), 1):
         p, q = mp.bernfrac(2 * k)
         assert coeff == float(Fraction(p, q)) / (2 * k * (2 * k - 1))
+
+
+def test_even_bernoulli_matches_fraction_recurrence():
+    # the integer numerator/denominator recurrence against the same
+    # recurrence on Fractions, float for float
+    exact = [Fraction(1)]
+    for m in range(1, len(_even_bernoulli())):
+        rest = sum(math.comb(2 * m + 1, 2 * j) * exact[j] for j in range(1, m))
+        exact.append((Fraction(2 * m - 1, 2) - rest) / (2 * m + 1))
+    assert [b.hex() for b in _even_bernoulli()] == [float(b).hex() for b in exact]
 
 
 def test_hurwitz_zeta_against_mpmath():
