@@ -24,6 +24,8 @@ from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm
 from typing import TYPE_CHECKING
 
+from .errors import _Value
+
 if TYPE_CHECKING:
     from fractions import Fraction
 
@@ -168,17 +170,25 @@ class DirichletCharacter:
     ``row[i]`` is the integer k in [0, L) with psi(units[i]) = e(k / L),
     where ``units`` is the sorted list of unit residues mod N (residue 0
     stands for 1 when N = 1) and L = ``root_order`` is the exponent of
-    (Z/N)*.  Non-units have no entry; psi(a) = 0 there.
+    (Z/N)*.  Non-units have no entry; psi(a) = 0 there.  Immutable, since
+    it is hashed: assigning or deleting a field raises AttributeError.
     """
 
     __slots__ = ("modulus", "row", "_group")
 
     def __init__(self, modulus: int, row: tuple[int, ...]):
-        self._group = _unit_group(modulus)
-        if len(row) != len(self._group.units):
-            raise ValueError(f"a character mod {modulus} has {len(self._group.units)} exponents")
-        self.modulus = modulus
-        self.row = tuple(row)
+        group = _unit_group(modulus)
+        if len(row) != len(group.units):
+            raise ValueError(f"a character mod {modulus} has {len(group.units)} exponents")
+        object.__setattr__(self, "_group", group)
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "row", tuple(row))
+
+    __setattr__ = _Value.__setattr__
+    __delattr__ = _Value.__delattr__
+
+    def __reduce__(self):
+        return DirichletCharacter, (self.modulus, self.row)
 
     def __repr__(self):
         return f"DirichletCharacter(modulus={self.modulus}, principal={self.is_principal})"

@@ -8,6 +8,7 @@ import argparse
 import json
 import math
 import sys
+from functools import partial
 from typing import TYPE_CHECKING
 
 from . import __version__
@@ -270,30 +271,35 @@ def cmd_gamma(args) -> dict:
 # verify
 
 
-def _case(inputs: dict, closed: complex, quad) -> dict:
-    rec = {"inputs": inputs, "closed": _c(closed)}
-    if isinstance(quad, complex):
-        abs_err = abs(quad - closed)
-        rel_err = abs_err / abs(closed) if closed != 0 else abs_err
-        rec.update(
-            quadrature=_c(quad),
-            abs_err=abs_err,
-            rel_err=rel_err,
-        )
-    else:  # error message from a failed quadrature
-        rec.update(quadrature=None, abs_err=None, rel_err=None, error=str(quad))
+def _case(tol: float, inputs: dict, closed, route, case_tol=None) -> dict:
+    """Run one verify case: route() gives the second route's value, compared
+    with closed, the reference evaluated before the route runs, and held to
+    case_tol when given, else to tol.  closed is None when the route returns
+    (closed, value) itself.  A route that cannot certify its tolerance
+    (ToleranceNotMetError) makes a failed case carrying its message."""
+    rec = {"inputs": inputs, "closed": None if closed is None else _c(closed)}
+    try:
+        quad = route()
+    except ToleranceNotMetError as exc:
+        rec.update(quadrature=None, abs_err=None, rel_err=None, error=str(exc))
+        rec["pass"] = False
+        return rec
+    if closed is None:
+        closed, quad = quad
+    abs_err = abs(quad - closed)
+    rel_err = abs_err / abs(closed) if closed != 0 else abs_err
+    rec.update(closed=_c(closed), quadrature=_c(quad), abs_err=abs_err, rel_err=rel_err)
+    rec["pass"] = rel_err <= (tol if case_tol is None else case_tol)
     return rec
 
 
-def _finish(case: dict, tol: float) -> dict:
-    case["pass"] = case["rel_err"] is not None and case["rel_err"] <= tol
-    return case
+# Each suite yields its cases as (inputs, closed, route[, case_tol]), the
+# arguments of _case after tol.
 
 
-def _suite_betalike(tol: float, cfg) -> list[dict]:
+def _suite_betalike(tol: float, cfg):
     from . import fe_verify
 
-    cases = []
     grid = [
         ((0.3, 0.4), (0, 0)),
         ((0.3, 0.4), (1, 1)),
@@ -303,60 +309,47 @@ def _suite_betalike(tol: float, cfg) -> list[dict]:
         ((0.2, 0.15, 0.25, 0.1), (1, 0, 1, 0)),
     ]
     for beta, eta in grid:
-        closed = fe_verify.beta_like_closed(beta, eta, 1.0)
-        try:
-            quad = fe_verify.beta_like_quadrature(beta, eta, 1.0, cfg)
-        except ToleranceNotMetError as exc:
-            quad = exc
-        cases.append(
-            _finish(_case({"beta": list(beta), "eta": list(eta)}, closed, quad), tol)
+        yield (
+            {"beta": list(beta), "eta": list(eta)},
+            fe_verify.beta_like_closed(beta, eta, 1.0),
+            partial(fe_verify.beta_like_quadrature, beta, eta, 1.0, cfg),
         )
-    return cases
 
 
-def _suite_oscillatory(tol: float, cfg) -> list[dict]:
+def _suite_oscillatory(tol: float, cfg):
     from . import fe_verify
 
-    cases = []
     for eps in (0, 1):
         for d, k in ((1, 1), (2, 1), (1, 3)):
             nu = 0.4 if eps == 0 else 0.6
-            closed = fe_verify.oscillatory_closed(nu, 2, eps, d, k)
-            try:
-                quad = fe_verify.oscillatory_integral(nu, 2, eps, d, k, cfg)
-            except ToleranceNotMetError as exc:
-                quad = exc
-            cases.append(
-                _finish(
-                    _case(
-                        {"nu": _c(nu), "epsilon": eps, "d": d, "k": k},
-                        closed,
-                        quad,
-                    ),
-                    tol,
-                )
+            yield (
+                {"nu": _c(nu), "epsilon": eps, "d": d, "k": k},
+                fe_verify.oscillatory_closed(nu, 2, eps, d, k),
+                partial(fe_verify.oscillatory_integral, nu, 2, eps, d, k, cfg),
             )
-    return cases
 
 
-def _suite_fe(tol: float, cfg) -> list[dict]:
+def _suite_fe(tol: float, cfg):
     from . import characters, eisenstein, fe_verify
     from .special import G_delta
 
-    cases = []
     # trivial-character reduction of the Eisenstein FE scalar
     psi = characters.enumerate_characters(1)[0]
     for nu in (0.3 + 0.2j, -0.7):
         params = eisenstein.EisParams(2, nu, psi, 0)
-        closed = G_delta(complex(nu), 0)
-        quad = fe_verify.eisfe_scalar(params)
-        cases.append(_finish(_case({"nu": _c(nu), "n": 2, "N": 1}, closed, quad), tol))
+        yield (
+            {"nu": _c(nu), "n": 2, "N": 1},
+            G_delta(complex(nu), 0),
+            partial(fe_verify.eisfe_scalar, params),
+        )
     # G_delta reflection
+    s = 0.3 + 1.1j
     for delta in (0, 1):
-        s = 0.3 + 1.1j
-        closed = complex((-1) ** delta)
-        quad = G_delta(s, delta) * G_delta(1 - s, delta)
-        cases.append(_finish(_case({"s": _c(s), "delta": delta}, closed, quad), tol))
+        yield (
+            {"s": _c(s), "delta": delta},
+            complex((-1) ** delta),
+            lambda delta=delta: G_delta(s, delta) * G_delta(1 - s, delta),
+        )
     # nu-form versus adelic s-form of the pairing FE scalar
     lam = (0.12, -0.05, 0.3, -0.37)
     delta = (0, 1, 1, 0)
@@ -364,73 +357,59 @@ def _suite_fe(tol: float, cfg) -> list[dict]:
     s = 0.55 + 0.15j
     nu = eisenstein.nu_from_s(n, s)
     sign = (-1) ** ((eps + sum(delta[n:])) % 2)
-    closed = sign * fe_verify.pairing_fe_gamma_product_s(lam, delta, eta, s, n, 3, eps)
-    quad = fe_verify.pairing_fe_gamma_product(lam, delta, eta, nu, n, 3, eps)
-    cases.append(
-        _finish(
-            _case({"lambda": [_c(x) for x in map(complex, lam)], "s": _c(s)}, closed, quad),
-            tol,
-        )
+    yield (
+        {"lambda": [_c(x) for x in map(complex, lam)], "s": _c(s)},
+        sign * fe_verify.pairing_fe_gamma_product_s(lam, delta, eta, s, n, 3, eps),
+        partial(fe_verify.pairing_fe_gamma_product, lam, delta, eta, nu, n, 3, eps),
     )
-    # H integral, n=2, closed versus quadrature
+    # H integral, n=2: h_integral returns the closed form with its quadrature
     lam_h = (0.1, -0.2, 0.3, -0.2)
-    delta_h = (0, 0, 0, 0)
-    closed, quad = fe_verify.h_integral(lam_h, delta_h, 0.5, 2, 0, 0, cfg)
-    cases.append(
-        _finish(
-            _case({"lambda": [_c(complex(x)) for x in lam_h], "nu": _c(0.5)}, closed, quad),
-            tol,
-        )
+    yield (
+        {"lambda": [_c(complex(x)) for x in lam_h], "nu": _c(0.5)},
+        None,
+        partial(fe_verify.h_integral, lam_h, (0, 0, 0, 0), 0.5, 2, 0, 0, cfg),
     )
-    return cases
 
 
-def _suite_intertwine(tol: float, cfg) -> list[dict]:
+def _suite_intertwine(tol: float, cfg):
     import numpy as np
 
     from . import fe_verify
 
-    cases = []
     f1 = fe_verify.Bump(0.0, 1.0)
     f2 = fe_verify.Bump(0.3, 0.7)
     # the spread of two ratios, each certified to rel_tol, is up to 2 rel_tol
     probe_cfg = fe_verify.QuadratureConfig(abs_tol=cfg.abs_tol, rel_tol=tol / 4)
     xs = [-0.2, 0.1]
-    for nu in (0.6, 0.8 + 0.5j):
+    ys = np.array([20.0, 40.0, 80.0])
+
+    def ratio_consistency(nu):
+        # the reference is the first ratio (I_{-nu} I_nu f)(x) / f(x), and the
+        # value is it moved by the largest relative spread of the others
         ratios = []
         for f in (f1, f2):
             vals = fe_verify.intertwine_compose_n2(f, nu, 0, xs, probe_cfg)
             ratios.extend(complex(v) / f(x) for v, x in zip(vals, xs))
         base = ratios[0]
         spread = max(abs(r / base - 1) for r in ratios[1:])
-        cases.append(
-            _finish(
-                _case(
-                    {"nu": _c(nu), "probe": "ratio-consistency"},
-                    base,
-                    base * (1 + spread),
-                ),
-                tol,
-            )
-        )
+        return base, base * (1 + spread)
+
+    def decay_exponent(nu):
+        vals = np.abs(fe_verify.intertwine_apply_n2(f1, nu, 0, ys, probe_cfg))
+        return complex(np.polyfit(np.log(ys), np.log(vals), 1)[0])
+
+    for nu in (0.6, 0.8 + 0.5j):
+        yield {"nu": _c(nu), "probe": "ratio-consistency"}, None, partial(ratio_consistency, nu)
         # decay-exponent fit of the forward operator: a fit at finite y, so
         # it is held to its own abs_tol on the slope rather than to tol
-        ys = np.array([20.0, 40.0, 80.0])
-        vals = np.abs(fe_verify.intertwine_apply_n2(f1, nu, 0, ys, probe_cfg))
-        slope = np.polyfit(np.log(ys), np.log(vals), 1)[0]
         expected = complex(nu).real - 1
         slope_tol = 0.1
-        cases.append(
-            _finish(
-                _case(
-                    {"nu": _c(nu), "probe": "decay-exponent", "abs_tol": slope_tol},
-                    complex(expected),
-                    complex(slope),
-                ),
-                slope_tol / abs(expected),
-            )
+        yield (
+            {"nu": _c(nu), "probe": "decay-exponent", "abs_tol": slope_tol},
+            complex(expected),
+            partial(decay_exponent, nu),
+            slope_tol / abs(expected),
         )
-    return cases
 
 
 _SUITES = {
@@ -441,7 +420,7 @@ _SUITES = {
 }
 
 
-def cmd_verify(args) -> tuple[dict, bool]:
+def cmd_verify(args) -> dict:
     tol = args.tol
     if not (tol > 0 and math.isfinite(tol)):
         raise ParseError(f"--tol must be positive and finite, got {tol}")
@@ -453,15 +432,12 @@ def cmd_verify(args) -> tuple[dict, bool]:
     )
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     suites = []
-    all_pass = True
     for name in names:
-        cases = _SUITES[name](tol, cfg)
-        ok = all(c["pass"] for c in cases)
-        all_pass = all_pass and ok
-        suites.append({"suite": name, "cases": cases, "pass": ok})
-    result = {"suites": suites, "pass": all_pass}
+        cases = [_case(tol, *case) for case in _SUITES[name](tol, cfg)]
+        suites.append({"suite": name, "cases": cases, "pass": all(c["pass"] for c in cases)})
+    result = {"suites": suites, "pass": all(suite["pass"] for suite in suites)}
     inputs = {"suite": args.suite, "tol": tol}
-    return _envelope("verify", inputs, result), all_pass
+    return _envelope("verify", inputs, result)
 
 
 # ---------------------------------------------------------------------------
@@ -516,20 +492,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_COMMANDS = {"chars": cmd_chars, "eis": cmd_eis, "gamma": cmd_gamma, "verify": cmd_verify}
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "chars":
-            env = cmd_chars(args)
-        elif args.command == "eis":
-            env = cmd_eis(args)
-        elif args.command == "gamma":
-            env = cmd_gamma(args)
-        else:
-            env, ok = cmd_verify(args)
-            print(_emit(env, args.format))
-            return EXIT_OK if ok else EXIT_FAIL
+        env = _COMMANDS[args.command](args)
     except ParseError as exc:
         pos = f" at position {exc.position}" if exc.position is not None else ""
         print(f"error: {exc}{pos}", file=sys.stderr)
@@ -541,7 +510,8 @@ def main(argv=None) -> int:
         )
         return EXIT_DOMAIN
     print(_emit(env, args.format))
-    return EXIT_OK
+    # a verify result carries its verdict; no other command has one
+    return EXIT_FAIL if env["result"].get("pass") is False else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -323,11 +323,10 @@ def _certify(val: complex, est: float, closed: complex, cfg: QuadratureConfig):
     """Check the quadrature value val, with error estimate est, against its
     closed form, with tol = max(abs_tol, rel_tol |closed|).
 
-    The policy: accept when |val - closed| <= tol.  Past that, accept a
-    difference of up to 10 tol when the estimate meets tol, a slack for an
-    estimate that undercounts the error by up to that factor.  Raise
-    ToleranceNotMetError when the estimate exceeds tol (achieved = est) or
-    the difference exceeds 10 tol (achieved = the difference)."""
+    The policy: accept exactly when |val - closed| <= tol, whatever the
+    estimate.  Otherwise raise ToleranceNotMetError, with achieved = est
+    when the estimate also exceeds tol, and achieved = the difference when
+    the estimate meets tol but the value misses it."""
     tol = max(cfg.abs_tol, cfg.rel_tol * abs(closed))
     diff = abs(val - closed)
     if diff <= tol:
@@ -337,11 +336,10 @@ def _certify(val: complex, est: float, closed: complex, cfg: QuadratureConfig):
             f"quadrature error estimate {est:.3g} exceeds tolerance {tol:.3g}",
             achieved=est,
         )
-    if diff > 10 * tol:
-        raise ToleranceNotMetError(
-            f"quadrature disagrees with closed form by {diff:.3g}",
-            achieved=diff,
-        )
+    raise ToleranceNotMetError(
+        f"quadrature disagrees with closed form by {diff:.3g}",
+        achieved=diff,
+    )
 
 
 # ---------------------------------------------------------------------------

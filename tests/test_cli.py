@@ -221,15 +221,14 @@ def test_verify_fe_meets_tight_tol(capsys):
 def test_verify_intertwine_is_held_to_tol(capsys):
     # at --tol 1e-9 every ratio-consistency probe passes only if its spread
     # is within 1e-9, and the decay-exponent fit states the slope tolerance
-    # it is held to; a probe that cannot certify exits 3
+    # it is held to; a probe that cannot certify is a failed case carrying
+    # the error
     code, out, _ = run(capsys, "verify", "--suite", "intertwine", "--tol", "1e-9")
-    env = json.loads(out)
-    if code == EXIT_DOMAIN:
-        assert env["error"] == "ToleranceNotMetError"
-        return
-    (suite,) = env["result"]["suites"]
+    (suite,) = json.loads(out)["result"]["suites"]
     for case in suite["cases"]:
-        if case["inputs"]["probe"] == "ratio-consistency":
+        if "error" in case:
+            assert case["pass"] is False and case["rel_err"] is None
+        elif case["inputs"]["probe"] == "ratio-consistency":
             assert case["pass"] is (case["rel_err"] <= 1e-9)
         else:
             assert case["pass"] is (case["abs_err"] <= case["inputs"]["abs_tol"])
@@ -253,6 +252,38 @@ def test_verify_fail_exit_code(capsys):
     assert code == EXIT_FAIL
     env = json.loads(out)
     assert env["result"]["pass"] is False
+
+
+def test_verify_all_reports_every_suite_when_routes_cannot_certify(capsys):
+    # at 1e-300 no quadrature certifies: in every suite that is a failed case
+    # carrying the route's message (exit 1), never an aborted run (exit 3)
+    code, out, err = run(capsys, "verify", "--suite", "all", "--tol", "1e-300")
+    assert code == EXIT_FAIL and err == ""
+    result = json.loads(out)["result"]
+    assert result["pass"] is False
+    keys = ["inputs", "closed", "quadrature", "abs_err", "rel_err", "pass"]
+    failed = {}
+    for suite in result["suites"]:
+        assert suite["pass"] is False
+        for case in suite["cases"]:
+            if case["quadrature"] is None:
+                assert list(case) == keys[:5] + ["error", "pass"]
+                assert "exceeds tolerance" in case["error"]
+                assert case["abs_err"] is None and case["pass"] is False
+                failed.setdefault(suite["suite"], []).append(case)
+            else:
+                assert list(case) == keys and case["closed"] is not None
+    assert {name: len(cases) for name, cases in failed.items()} == {
+        "betalike": 6, "oscillatory": 6, "fe": 1, "intertwine": 4,
+    }
+    # the H integral and the ratio probes take their reference from the
+    # route, so a failed route leaves it unknown; the others keep it
+    (h_case,) = failed["fe"]
+    assert h_case["closed"] is None
+    for case in failed["intertwine"]:
+        assert (case["closed"] is None) is (case["inputs"]["probe"] == "ratio-consistency")
+    for case in failed["betalike"] + failed["oscillatory"]:
+        assert case["closed"] is not None
 
 
 def test_verify_csv_fallback(capsys):

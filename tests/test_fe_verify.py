@@ -23,6 +23,7 @@ from mirabolic.fe_verify import (
     Bump,
     QuadratureConfig,
     _beta_like_chain,
+    _certify,
     _line_integral,
     _power_product,
     _two_point_pieces,
@@ -325,6 +326,23 @@ def test_certification_failure_surfaces():
         intertwine_apply_n2(f, 0.6, 0, [0.3], cfg)
 
 
+def test_certify_rejects_a_value_farther_than_tol_from_its_closed_form():
+    # the estimate meets tol, the value misses it by up to 10 tol: that is a
+    # failure, reported as the difference, however small the estimate
+    cfg = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-8)
+    closed = 2.0 + 1.0j
+    tol = cfg.rel_tol * abs(closed)
+    for diff in (1.5 * tol, 10 * tol):
+        with pytest.raises(ToleranceNotMetError, match="disagrees") as ei:
+            _certify(closed + diff, 0.1 * tol, closed, cfg)
+        assert ei.value.achieved == abs(closed + diff - closed)
+    # within tol the value is accepted even when the estimate is not
+    _certify(closed + 0.5 * tol, 100 * tol, closed, cfg)
+    with pytest.raises(ToleranceNotMetError, match="estimate") as ei:
+        _certify(closed + 2 * tol, 100 * tol, closed, cfg)
+    assert ei.value.achieved == 100 * tol
+
+
 def test_oscillatory_integral_matches_closed():
     cfg = QuadratureConfig(abs_tol=1e-11, rel_tol=1e-10)
     for nu, n in [(0.7, 2), (1.2 + 0.5j, 3)]:
@@ -539,6 +557,21 @@ def test_intertwine_apply_with_tiny_gap_matches_tanh_sinh(nu):
     for y, v in zip(ys, vals):
         want = _apply_tanh_sinh(1.0, 1.0, nu, y)
         assert abs(v - want) <= max(cfg.abs_tol, cfg.rel_tol * abs(want)), y
+
+
+@pytest.mark.parametrize("center, width", [(0.0, 1.0), (0.3, 0.7)])
+@pytest.mark.parametrize("nu", [0.3, 0.6, 0.8 + 0.5j])
+@pytest.mark.parametrize("epsilon", [0, 1])
+def test_intertwine_compose_at_both_parities(epsilon, nu, center, width):
+    # I_{-nu} I_nu = (-1)^eps G_eps(nu) G_eps(-nu) * id: odd eps carries the
+    # sign and its own G_1, both of which the ratio must show
+    f = Bump(center, width)
+    cfg = QuadratureConfig(abs_tol=1e-10, rel_tol=1e-8)
+    gamma = (-1) ** epsilon * complex(G_delta(nu, epsilon) * G_delta(-nu, epsilon))
+    xs = [-0.2, 0.1]
+    for x, v in zip(xs, intertwine_compose_n2(f, nu, epsilon, xs, cfg)):
+        want = gamma * f(x)
+        assert abs(v - want) <= max(cfg.abs_tol, cfg.rel_tol * abs(want)), x
 
 
 @pytest.mark.parametrize(

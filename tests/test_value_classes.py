@@ -137,3 +137,39 @@ def test_isobaric_sum_is_a_multiset():
     assert a == b and hash(a) == hash(b)
     assert repr(a) != repr(b)
     assert IsobaricSum((BLOCK, BLOCK)) != IsobaricSum((BLOCK,))
+
+
+def test_character_is_immutable():
+    # a character is hashed, and held inside EisParams, whose constructor
+    # checks epsilon against its parity: neither may change after the fact
+    psi = enumerate_characters(5)[0]
+    params = EisParams(2, 3.0, psi, 0)
+    held = {params}
+    for name in ("modulus", "row", "_group"):
+        with pytest.raises(AttributeError):
+            setattr(psi, name, (0, 2, 0, 2))
+        with pytest.raises(AttributeError):
+            delattr(psi, name)
+    with pytest.raises(AttributeError):
+        psi.undeclared = 1
+    assert psi.row == (0, 0, 0, 0) and psi.parity == params.epsilon == 0
+    assert params in held
+
+
+def test_character_repr_eq_hash_ignore_the_unit_group():
+    assert repr(PSI) == "DirichletCharacter(modulus=5, principal=False)"
+    assert repr(enumerate_characters(1)[0]) == "DirichletCharacter(modulus=1, principal=True)"
+    twin = enumerate_characters(5)[2]
+    assert twin == PSI and hash(twin) == hash(PSI) == hash((5, PSI.row))
+    assert PSI != ODD and PSI != PSI.row and PSI != object()
+
+
+@pytest.mark.parametrize(
+    "copier", [copy.copy, copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c))]
+)
+def test_character_copies_round_trip(copier):
+    for psi in (PSI, ODD, enumerate_characters(1)[0], enumerate_characters(24)[5]):
+        copied = copier(psi)
+        assert type(copied) is type(psi) and copied == psi and hash(copied) == hash(psi)
+        assert copied.row == psi.row and copied.units == psi.units
+        assert [copied(a) for a in range(psi.modulus)] == [psi(a) for a in range(psi.modulus)]
