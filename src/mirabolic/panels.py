@@ -53,8 +53,9 @@ _GAUSS_W = np.zeros(21)
 _GAUSS_W[1:10:2] = _GK_WG
 _GAUSS_W[11:20:2] = _GK_WG[::-1]
 # Kronrod weights and Kronrod-minus-Gauss weights as the columns of one
-# matrix; complex values are multiplied by it through their real and
-# imaginary parts, as numpy has no fast complex-by-real matrix product
+# matrix; real values are multiplied by it directly, complex values through
+# their real and imaginary parts, as numpy has no fast complex-by-real
+# matrix product
 _KG_MATRIX = np.stack([_KRONROD_W, _KRONROD_W - _GAUSS_W], axis=1)
 
 # The 12-point Gauss-Legendre rule on [-1, 1]: nodes x > 0 in descending
@@ -99,6 +100,9 @@ _START_DEPTH = 2
 # need more than 40 of, take the endpoint rule with the kernel's shift in
 # closed form; what that leaves out is O(d0 phi'), far below rounding
 _SHIFT = 4.0**-40
+# 4^-j, j < 64: the start cuts toward h = 0, which never pass 4^-42 L
+# (d0 >= _SHIFT * L off the endpoint rule)
+_QUARTERS = 0.25 ** np.arange(64)
 
 
 def _kernel_powers(d, s):
@@ -116,8 +120,8 @@ def _kernel_powers(d, s):
 def _legendre_moments(s):
     """mu_k(s) = int_0^1 P_k(2t - 1) t^(s-1) dt for k < 12, Re s > 0, in
     the last axis: mu_k = prod_{j=1..k} (s - j) / prod_{j=0..k} (s + j),
-    exact for complex s."""
-    s = np.asarray(s, dtype=complex)[..., None]
+    exact for complex s; real when s has a real dtype."""
+    s = np.asarray(s, dtype=np.result_type(s, float))[..., None]
     k = np.arange(1, _M)
     return np.cumprod(np.concatenate([1 / s, (s - k) / (s + k)], axis=-1), axis=-1)
 
@@ -131,14 +135,14 @@ def _gauss_kronrod(phi, lo, hi, p, d0, s):
     # per-panel d0 and s broadcast over the 21 nodes of each row
     k = _kernel_powers(d0[p][:, None] + h, s[p][:, None])
     fk = fv * k
-    re, im = fk.real @ _KG_MATRIX, fk.imag @ _KG_MATRIX
     carried = 0.0 if fe is None else half * ((np.abs(k) * fe) @ _KRONROD_W)
-    return (
-        half * (re[:, 0] + 1j * im[:, 0]),
-        half * np.hypot(re[:, 1], im[:, 1]),
-        half * (np.abs(fk) @ _KRONROD_W),
-        carried,
-    )
+    if fk.dtype.kind != "c":
+        re = fk @ _KG_MATRIX
+        value, diff = re[:, 0], np.abs(re[:, 1])
+    else:
+        re, im = fk.real @ _KG_MATRIX, fk.imag @ _KG_MATRIX
+        value, diff = re[:, 0] + 1j * im[:, 0], np.hypot(re[:, 1], im[:, 1])
+    return half * value, half * diff, half * (np.abs(fk) @ _KRONROD_W), carried
 
 
 def _endpoint_moments(phi, lo, delta, p, d0, s):
@@ -184,8 +188,9 @@ def _eval_panels(phi, lo, hi, pid, end, d0, s, chunk):
     Gauss-Kronrod panels, and the moment rule on the endpoint panels (end,
     lo = d0 = 0).  The total estimate is at least the rounding floor
     _ROUNDING * mass, plus the error bounds that phi reports for its own
-    values, carried through the weights."""
-    v = np.empty(lo.size, complex)
+    values, carried through the weights.  The values are real when every
+    panel's are."""
+    v = np.empty(lo.size)
     q = np.empty(lo.size)
     e = np.empty(lo.size)
     mass = np.empty(lo.size)
@@ -194,27 +199,35 @@ def _eval_panels(phi, lo, hi, pid, end, d0, s, chunk):
         rows = max(1, chunk // nodes)
         for i in range(0, idx.size, rows):
             j = idx[i : i + rows]
-            v[j], q[j], mass[j], carried = rule(phi, lo[j], hi[j], pid[j], d0, s)
+            vj, q[j], mass[j], carried = rule(phi, lo[j], hi[j], pid[j], d0, s)
+            if vj.dtype.kind == "c" and v.dtype.kind != "c":
+                v = v.astype(complex)
+            v[j] = vj
             e[j] = np.maximum(q[j], _ROUNDING * mass[j]) + carried
     return v, q, e, mass
 
 
 def graded_integrals(phi, L, d0, s, group, n_groups, abs_tol, rel_tol,
-                     max_panels, base=0.0, chunk=_CHUNK):
+                     max_panels, base=0.0, chunk=_CHUNK, edge_cuts=0):
     """Sum over the pieces i of each group of int_0^{L_i} phi(i, h)
     (d0_i + h)^{s_i - 1} dh, for a whole batch of pieces at once.
 
     phi(idx, h) evaluates the smooth factor on numpy arrays: idx holds one
     piece per panel, h the nodes of those panels (one row each); it returns
     (values, error bounds of the values or None), both shaped like h.
+    Where phi's values and s are real (s of a real dtype), every panel sum
+    stays in float64 and so do the returned values.
 
     A piece singular at or within L * 4^-40 of its endpoint (d0 < L * 4^-40,
     which needs Re s > 0) starts as Gauss-Kronrod panels [L/4, L] and
     [L/16, L/4] and the endpoint panel [0, L/16], which is integrated by
     Legendre moments against the exact kernel (see _endpoint_moments); any
     other piece starts as Gauss-Kronrod panels graded geometrically
-    (ratio 1/4) toward h = 0 down to the scale d0.  Panels whose estimate
-    is too large for their group's tolerance
+    (ratio 1/4) toward h = 0 down to the scale d0.  With edge_cuts = K > 0
+    the start panel [L/4, L] is also cut at L(1 - 2^-k), k = 1..K, graded
+    toward h = L for a phi that is flat but not analytic there, and every
+    piece starts one quarter level deeper toward h = 0.  Panels whose
+    estimate is too large for their group's tolerance
     max(abs_tol, rel_tol*|sum + base|) are refined until every group meets
     it (or, when that is tighter than the rounding error of the group's
     sum, meets that) or a piece has max_panels panels: a Gauss-Kronrod
@@ -224,26 +237,31 @@ def graded_integrals(phi, L, d0, s, group, n_groups, abs_tol, rel_tol,
     singular = d0 < _SHIFT * L
     depth = np.where(
         singular, _START_DEPTH, np.ceil(np.log2(L / np.where(singular, L, d0)) / 2)
-    )
-    depth = np.clip(depth, 1, max(1, max_panels - 1)).astype(int)
-    pid = np.repeat(np.arange(L.size), depth + 1)
-    starts = np.cumsum(depth + 1) - (depth + 1)
-    k = np.arange(pid.size) - np.repeat(starts, depth + 1)
-    hi = L[pid] * 0.25**k
-    last = k == depth[pid]
-    lo = np.where(last, 0.0, hi / 4)
+    ) + (edge_cuts > 0)
+    depth = np.clip(depth, 1, max(1, max_panels - 1 - edge_cuts)).astype(int)
+    count = depth + 1 + edge_cuts
+    pid = np.repeat(np.arange(L.size), count)
+    k = np.arange(pid.size) - np.repeat(np.cumsum(count) - count, count)
+    # panel k of a piece runs from its cut k + 1 to its cut k, as fractions
+    # of L from the top: 1, then 1 - 2^-j for j = edge_cuts, ..., 1, then 4^-j
+    cut = np.concatenate([_QUARTERS[:1], 1 - 0.5 ** np.arange(edge_cuts, 0, -1), _QUARTERS[1:]])
+    hi = L[pid] * cut[k]
+    last = k == count[pid] - 1
+    lo = np.where(last, 0.0, L[pid] * cut[k + 1])
     end = last & singular[pid]
     new = [lo, hi, pid, end]
     lo, hi, pid, end = lo[:0], hi[:0], pid[:0], end[:0]
-    val = np.empty(0, complex)
-    q = err = mass = np.empty(0)
+    val = q = err = mass = np.empty(0)
     while True:
         v, qn, en, mn = _eval_panels(phi, *new, d0, s, chunk)
         lo, hi, pid, end = (np.concatenate(pair) for pair in zip((lo, hi, pid, end), new))
         val, q = np.concatenate([val, v]), np.concatenate([q, qn])
         err, mass = np.concatenate([err, en]), np.concatenate([mass, mn])
         g = group[pid]
-        total = np.bincount(g, val.real, n_groups) + 1j * np.bincount(g, val.imag, n_groups)
+        if val.dtype.kind != "c":
+            total = np.bincount(g, val, n_groups)
+        else:
+            total = np.bincount(g, val.real, n_groups) + 1j * np.bincount(g, val.imag, n_groups)
         # no tighter than the rounding error of the group's sum
         tol = np.maximum.reduce([
             np.full(n_groups, abs_tol),
