@@ -93,18 +93,25 @@ def _abs_pow(x: float, expo: complex) -> complex:
     return cmath.exp(complex(expo) * math.log(abs(x)))
 
 
-def _power_product(d, beta, eta):
-    """prod_j |d_j|^{beta_j - 1} sgn(d_j)^{eta_j} over the last axis of the
-    nonzero array d; real when every beta_j is."""
-    logd = np.log(np.abs(d))
-    v = np.exp(logd @ (beta.real - 1))
-    odd = eta == 1
-    if odd.any():
-        v = np.where(np.count_nonzero(d[..., odd] < 0, axis=-1) % 2, -v, v)
-    if beta.imag.any():
-        t = logd @ beta.imag
-        v = v * (np.cos(t) + 1j * np.sin(t))
-    return v
+def _power_product(beta, eta):
+    """The function d -> prod_j |d_j|^{beta_j - 1} sgn(d_j)^{eta_j} over the
+    last axis of the nonzero array d, real when every beta_j is; what
+    depends on beta and eta alone is worked out once, here."""
+    expo = beta.real - 1
+    odd = (np.asarray(eta) % 2).nonzero()[0]
+    freq = beta.imag if np.count_nonzero(beta.imag) else None
+
+    def power(d):
+        logd = np.log(np.abs(d))
+        v = np.exp(logd @ expo)
+        if odd.size:
+            v = np.where(np.logical_xor.reduce(d[..., odd] < 0, axis=-1), -v, v)
+        if freq is not None:
+            t = logd @ freq
+            v = v * (np.cos(t) + 1j * np.sin(t))
+        return v
+
+    return power
 
 
 def _two_point_pieces(beta0: complex, beta1: complex, t: float):
@@ -150,12 +157,11 @@ def _line_integral(beta0, eta0, beta1, eta1, t: float, cfg: QuadratureConfig):
     estimate)."""
     L, s, A, B, c = _two_point_pieces(beta0, beta1, t)
     c = complex((-1.0) ** (eta0 % 2)) * c
-    beta = np.array([beta0, beta1], dtype=complex)
-    eta = np.array([eta0, eta1]) % 2
+    power = _power_product(np.array([beta0, beta1], dtype=complex), (eta0, eta1))
+    A, B, c = A[:, None], B[:, None], c[:, None]
 
     def phi(idx, h):
-        d = A[idx][:, None] + B[idx][:, None] * h[..., None]
-        return c[idx][:, None] * _power_product(d, beta, eta), None
+        return c[idx] * power(A[idx] + B[idx] * h[..., None]), None
 
     val, est = graded_integrals(
         phi, L, np.zeros(L.size), s, np.zeros(L.size, int), 1,
@@ -414,11 +420,11 @@ def oscillatory_integral(
     tails = (-1) ** epsilon * t1 + t2
     # near 0, x = dir*h: |x|^w sgn(-x)^eps e(mx) = c_dir h^w e(m dir h), with
     # c_dir = (-1)^eps for dir = 1 and 1 for dir = -1
-    dirs = np.array([-1.0, 1.0])
-    c = np.array([1.0, (-1.0) ** (epsilon % 2)])
+    c = np.array([1.0, (-1.0) ** (epsilon % 2)])[:, None]
+    rate = (_TWO_PI_I * m * np.array([-1.0, 1.0]))[:, None]
 
     def phi(idx, h):
-        return c[idx][:, None] * np.exp(_TWO_PI_I * m * dirs[idx][:, None] * h), None
+        return c[idx] * np.exp(rate[idx] * h), None
 
     near, est = graded_integrals(
         phi, np.full(2, X), np.zeros(2), np.full(2, w + 1), np.zeros(2, int), 1,
@@ -510,18 +516,22 @@ class Bump:
         self.support = (center - width, center + width)
 
     def _parts(self, x):
+        """u, 1 - u^2 clipped at 0 (so 0 off the support) and the bump,
+        whose exp(1 - 1/0) = exp(-inf) = 0 off the support."""
         u = (np.asarray(x, dtype=float) - self.center) / self.width
-        inside = np.abs(u) < 1
-        w = np.where(inside, 1 - u * u, 1.0)
-        return u, inside, w, np.where(inside, np.exp(1 - 1 / w), 0.0)
+        w = np.fmax(1 - u * u, 0.0)
+        with np.errstate(divide="ignore"):
+            return u, w, np.exp(1 - 1 / w)
 
     def __call__(self, x):
-        val = self._parts(x)[3]
+        val = self._parts(x)[2]
         return val if val.ndim else float(val)
 
     def derivative(self, x):
-        u, inside, w, f = self._parts(x)
-        val = np.where(inside, f * (-2 * u / (w * w)) / self.width, 0.0)
+        u, w, f = self._parts(x)
+        # off the support 0 * inf: the nan is masked
+        with np.errstate(divide="ignore", invalid="ignore"):
+            val = np.where(w > 0, f * (-2 * u / (w * w)) / self.width, 0.0)
         return val if val.ndim else float(val)
 
 
@@ -566,17 +576,18 @@ def _apply_batch(fs, nu, epsilon, y, which, a, b, abs_tol, rel_tol):
         ys, ws = y[i : i + step], which[i : i + step]
         owner, e, dirs, L, d0, c = _apply_pieces(ys, a, b, epsilon)
         fn = ws[owner]
+        e, dirs, c = e[:, None], dirs[:, None], c[:, None]
 
         def phi(idx, h):
-            w = e[idx][:, None] + dirs[idx][:, None] * h
+            w = e[idx] + dirs[idx] * h
             own = fn[idx]
-            if (own == own[0]).all():  # one test function for the whole chunk
-                return c[idx][:, None] * fs[own[0]](w), None
-            parts = [(m, func(w[m])) for n, func in enumerate(fs) if (m := own == n).any()]
+            if not np.count_nonzero(own != own[0]):  # one test function for the whole chunk
+                return c[idx] * fs[own[0]](w), None
+            parts = [(m, func(w[m])) for n, func in enumerate(fs) if np.count_nonzero(m := own == n)]
             out = np.empty(h.shape, np.result_type(float, *(v for _, v in parts)))
             for m, v in parts:
                 out[m] = v
-            return c[idx][:, None] * out, None
+            return c[idx] * out, None
 
         v, err = graded_integrals(
             phi, L, d0, np.full(L.size, nu), owner, ys.size, abs_tol, rel_tol,

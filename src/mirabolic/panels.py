@@ -16,6 +16,22 @@ estimate bounds the part of that sum carried by the upper half of the
 expansion, |delta^s / s| sum_{k >= 6} |c_k| (every |mu_k(s)| is at most
 1/|s|): unlike the signed sum it does not vanish where the moments do, for
 k >= s at integer s, where the rule is still inexact on what it aliases.
+
+The cost of a call.  A round of refinement is one _eval_panels call: per
+rule and per chunk of at most _CHUNK nodes, one phi call, one kernel power
+and a few matrix products; then one np.bincount per group sum, the
+tolerances, and, when panels are refined, one gather of the kept panels
+and one concatenation per panel field.  The beta-like, oscillatory and H
+integrals are calls of 2-6 pieces and 18-36 panels that converge in 1-3
+rounds, so what they cost is that fixed count of numpy calls more than
+arithmetic.  The code keeps the count low: np.count_nonzero and
+ufunc.reduce rather than numpy's slower any/sum wrappers, and no work whose
+only effect would be to add exact zeros (the log2 start depth when every
+piece is singular, the offsets d0 when all are 0, the kernel shift when no
+endpoint panel has one).  Every value and estimate keeps its bits: a
+group's sums are np.bincount's, which adds panels in array order, so a
+round keeps that order, the kept panels first and then the new ones as
+they were marked.
 """
 
 from __future__ import annotations
@@ -84,6 +100,10 @@ for _k in range(1, _M - 1):
 _LEGENDRE *= (2 * np.arange(_M) + 1)[:, None] * 0.5 * np.concatenate([_GL_W, _GL_W[::-1]])
 # phi at the nodes -> the expansion's value at t = 0, sum_k c_k P_k(-1)
 _AT_ZERO = (-1.0) ** np.arange(_M) @ _LEGENDRE
+# phi at the nodes -> its upper-half coefficients c_6, ..., c_11
+_UPPER_HALF = _LEGENDRE[_M // 2 :].T
+# j = 1, ..., 11 in the moment recurrence
+_J = np.arange(1, _M)
 del _x, _k
 
 # nodes per vectorized evaluation.  At 8192 the temporaries of one chunk
@@ -106,10 +126,11 @@ _QUARTERS = 0.25 ** np.arange(64)
 
 
 def _kernel_powers(d, s):
-    """d^(s-1) for d > 0, elementwise with s broadcast against d."""
+    """d^(s-1) for d > 0, elementwise with s broadcast against d; s is an
+    array or a Python number."""
     logd = np.log(d)
     r = np.exp((s.real - 1) * logd)
-    if not np.any(s.imag):
+    if not (np.iscomplexobj(s) and np.count_nonzero(s.imag)):
         return r
     t = s.imag * logd  # cos and sin: numpy's complex exp is slower
     k = np.empty(d.shape, complex)
@@ -122,18 +143,19 @@ def _legendre_moments(s):
     the last axis: mu_k = prod_{j=1..k} (s - j) / prod_{j=0..k} (s + j),
     exact for complex s; real when s has a real dtype."""
     s = np.asarray(s, dtype=np.result_type(s, float))[..., None]
-    k = np.arange(1, _M)
-    return np.cumprod(np.concatenate([1 / s, (s - k) / (s + k)], axis=-1), axis=-1)
+    return np.multiply.accumulate(
+        np.concatenate([1 / s, (s - _J) / (s + _J)], axis=-1), axis=-1
+    )
 
 
 def _gauss_kronrod(phi, lo, hi, p, d0, s):
     """Value, |K21 - G10|, absolute mass and carried phi error of the
-    Gauss-Kronrod panels [lo, hi] of pieces p."""
+    Gauss-Kronrod panels [lo, hi] of pieces p (d0 None: every d0 is 0)."""
     half = 0.5 * (hi - lo)
     h = (0.5 * (hi + lo))[:, None] + half[:, None] * _KRONROD_X
     fv, fe = phi(p, h)
     # per-panel d0 and s broadcast over the 21 nodes of each row
-    k = _kernel_powers(d0[p][:, None] + h, s[p][:, None])
+    k = _kernel_powers(h if d0 is None else d0[p][:, None] + h, s[p][:, None])
     fk = fv * k
     carried = 0.0 if fe is None else half * ((np.abs(k) * fe) @ _KRONROD_W)
     if fk.dtype.kind != "c":
@@ -148,62 +170,66 @@ def _gauss_kronrod(phi, lo, hi, p, d0, s):
 def _endpoint_moments(phi, lo, delta, p, d0, s):
     """Value, expansion-tail estimate, absolute mass and carried phi error
     of the endpoint panels int_0^delta phi(p, h) (d0_p + h)^(s_p - 1) dh
-    (lo is 0, d0_p is 0 or below L * _SHIFT): delta^s sum_k c_k mu_k(s), c_k
-    the shifted Legendre coefficients of phi on [0, delta], plus for
-    d0_p > 0 the expansion's value at 0 times the exact change of the
-    kernel's mass.  The estimate bounds the part of this carried by the
-    upper half of the expansion, (|delta^s / s| + |shift|) sum_{k >= 6}
-    |c_k|."""
+    (lo is 0, d0_p is 0 or below L * _SHIFT; d0 None: every d0_p is 0):
+    delta^s sum_k c_k mu_k(s), c_k the shifted Legendre coefficients of phi
+    on [0, delta], plus for d0_p > 0 the expansion's value at 0 times the
+    exact change of the kernel's mass.  The estimate bounds the part of this
+    carried by the upper half of the expansion, (|delta^s / s| + |shift|)
+    sum_{k >= 6} |c_k|."""
     fv, fe = phi(p, delta[:, None] * _MOMENT_T)
-    sp, dp = s[p], d0[p]
+    sp = s[p]
     scale = delta * _kernel_powers(delta, sp)  # delta^s
     w = scale[:, None] * (_legendre_moments(sp) @ _LEGENDRE)
-    # a kernel shifted by a tiny d0 > 0: phi(0) times the exact change of
-    # the kernel's mass, ((d0 + delta)^s - delta^s - d0^s)/s; the rest of
-    # the change is O(d0 phi')
-    d = np.where(dp > 0, dp, delta)
-    shift = np.where(
-        dp > 0,
-        (scale * np.expm1(sp * np.log1p(dp / delta)) - d * _kernel_powers(d, sp)) / sp,
-        0.0,
-    )
-    w = w + shift[:, None] * _AT_ZERO
+    bound = np.abs(scale / sp)
+    dp = None if d0 is None else d0[p]
+    if dp is not None and np.count_nonzero(dp > 0):
+        # a kernel shifted by a tiny d0 > 0: phi(0) times the exact change
+        # of the kernel's mass, ((d0 + delta)^s - delta^s - d0^s)/s; the
+        # rest of the change is O(d0 phi')
+        d = np.where(dp > 0, dp, delta)
+        shift = np.where(
+            dp > 0,
+            (scale * np.expm1(sp * np.log1p(dp / delta)) - d * _kernel_powers(d, sp)) / sp,
+            0.0,
+        )
+        w = w + shift[:, None] * _AT_ZERO
+        bound = bound + np.abs(shift)
     # |mu_k(s)| <= |mu_0(s)| = 1/|s| (|s - j| <= |s + j|) and |P_k(-1)| = 1:
     # a bound on the upper half that holds also where mu_k(s) vanishes, as it
     # does for k >= s at s = 1, 2, ..., and the rule still aliases
-    tail = np.abs(fv @ _LEGENDRE[_M // 2 :].T).sum(axis=1)
+    tail = np.add.reduce(np.abs(fv @ _UPPER_HALF), 1)
     aw = np.abs(w)
-    carried = 0.0 if fe is None else (aw * fe).sum(axis=1)
+    carried = 0.0 if fe is None else np.add.reduce(aw * fe, 1)
     return (
-        (w * fv).sum(axis=1),
-        (np.abs(scale / sp) + np.abs(shift)) * tail,
-        (aw * np.abs(fv)).sum(axis=1),
+        np.add.reduce(w * fv, 1),
+        bound * tail,
+        np.add.reduce(aw * np.abs(fv), 1),
         carried,
     )
 
 
 def _eval_panels(phi, lo, hi, pid, end, d0, s, chunk):
     """Value, quadrature error estimate, total error estimate and absolute
-    mass of each panel of int phi(pid, h) (d0 + h)^(s-1) dh over [lo, hi]:
-    Gauss-Kronrod panels, and the moment rule on the endpoint panels (end,
-    lo = d0 = 0).  The total estimate is at least the rounding floor
-    _ROUNDING * mass, plus the error bounds that phi reports for its own
-    values, carried through the weights.  The values are real when every
-    panel's are."""
+    mass of each panel of int phi(pid, h) (d0 + h)^(s-1) dh over [lo, hi]
+    (d0 None: every d0 is 0): Gauss-Kronrod panels, and the moment rule on
+    the endpoint panels (end, lo = d0 = 0).  The total estimate is at least
+    the rounding floor _ROUNDING * mass, plus the error bounds that phi
+    reports for its own values, carried through the weights.  The values
+    are real when every panel's are."""
     v = np.empty(lo.size)
     q = np.empty(lo.size)
     e = np.empty(lo.size)
     mass = np.empty(lo.size)
-    for rule, at_end, nodes in ((_gauss_kronrod, False, 21), (_endpoint_moments, True, _M)):
-        idx = np.flatnonzero(end == at_end)
+    for rule, on, nodes in ((_gauss_kronrod, ~end, 21), (_endpoint_moments, end, _M)):
+        idx = on.nonzero()[0]
         rows = max(1, chunk // nodes)
         for i in range(0, idx.size, rows):
             j = idx[i : i + rows]
-            vj, q[j], mass[j], carried = rule(phi, lo[j], hi[j], pid[j], d0, s)
+            vj, qj, mj, carried = rule(phi, lo[j], hi[j], pid[j], d0, s)
             if vj.dtype.kind == "c" and v.dtype.kind != "c":
                 v = v.astype(complex)
-            v[j] = vj
-            e[j] = np.maximum(q[j], _ROUNDING * mass[j]) + carried
+            v[j], q[j], mass[j] = vj, qj, mj
+            e[j] = np.maximum(qj, _ROUNDING * mj) + carried
     return v, q, e, mass
 
 
@@ -235,41 +261,44 @@ def graded_integrals(phi, L, d0, s, group, n_groups, abs_tol, rel_tol,
     [0, h/4] and the Gauss-Kronrod panel [h/4, h].
     Returns (values, error estimates) per group."""
     singular = d0 < _SHIFT * L
-    depth = np.where(
-        singular, _START_DEPTH, np.ceil(np.log2(L / np.where(singular, L, d0)) / 2)
-    ) + (edge_cuts > 0)
-    depth = np.clip(depth, 1, max(1, max_panels - 1 - edge_cuts)).astype(int)
-    count = depth + 1 + edge_cuts
-    pid = np.repeat(np.arange(L.size), count)
-    k = np.arange(pid.size) - np.repeat(np.cumsum(count) - count, count)
+    top = max(1, max_panels - 1 - edge_cuts)  # the deepest start, within max_panels
+    if np.count_nonzero(singular) == L.size:
+        count = np.full(L.size, min(_START_DEPTH + (edge_cuts > 0), top) + 1 + edge_cuts)
+    else:
+        depth = np.where(
+            singular, _START_DEPTH, np.ceil(np.log2(L / np.where(singular, L, d0)) / 2)
+        ) + (edge_cuts > 0)
+        count = np.minimum(np.maximum(depth, 1), top).astype(int) + 1 + edge_cuts
     # panel k of a piece runs from its cut k + 1 to its cut k, as fractions
-    # of L from the top: 1, then 1 - 2^-j for j = edge_cuts, ..., 1, then 4^-j
-    cut = np.concatenate([_QUARTERS[:1], 1 - 0.5 ** np.arange(edge_cuts, 0, -1), _QUARTERS[1:]])
-    hi = L[pid] * cut[k]
-    last = k == count[pid] - 1
-    lo = np.where(last, 0.0, L[pid] * cut[k + 1])
-    end = last & singular[pid]
-    new = [lo, hi, pid, end]
-    lo, hi, pid, end = lo[:0], hi[:0], pid[:0], end[:0]
-    val = q = err = mass = np.empty(0)
+    # of L from the top: 1, then 1 - 2^-j for j = edge_cuts, ..., 1, then
+    # 4^-j; its last panel runs down to 0
+    cut = _QUARTERS if not edge_cuts else np.concatenate(
+        [_QUARTERS[:1], 1 - 0.5 ** np.arange(edge_cuts, 0, -1), _QUARTERS[1:]]
+    )
+    width = count.max()
+    at = L[:, None] * cut[: width + 1]
+    k = np.arange(width)
+    inside = k < count[:, None]
+    last = k == count[:, None] - 1
+    lo = np.where(last, 0.0, at[:, 1:])[inside]
+    hi = at[:, :-1][inside]
+    end = (last & singular[:, None])[inside]
+    pid = np.repeat(np.arange(L.size), count)
+    d0 = d0 if np.count_nonzero(d0) else None
+    val, q, err, mass = _eval_panels(phi, lo, hi, pid, end, d0, s, chunk)
     while True:
-        v, qn, en, mn = _eval_panels(phi, *new, d0, s, chunk)
-        lo, hi, pid, end = (np.concatenate(pair) for pair in zip((lo, hi, pid, end), new))
-        val, q = np.concatenate([val, v]), np.concatenate([q, qn])
-        err, mass = np.concatenate([err, en]), np.concatenate([mass, mn])
         g = group[pid]
         if val.dtype.kind != "c":
             total = np.bincount(g, val, n_groups)
         else:
             total = np.bincount(g, val.real, n_groups) + 1j * np.bincount(g, val.imag, n_groups)
         # no tighter than the rounding error of the group's sum
-        tol = np.maximum.reduce([
-            np.full(n_groups, abs_tol),
-            rel_tol * np.abs(total + base),
+        tol = np.maximum(
+            np.maximum(rel_tol * np.abs(total + base), abs_tol),
             _ROUNDING * np.bincount(g, mass, n_groups),
-        ])
+        )
         open_ = np.bincount(g, q, n_groups) > tol
-        if not open_.any():
+        if not np.count_nonzero(open_):
             break
         per_group = np.bincount(g, minlength=n_groups)
         per_piece = np.bincount(pid, minlength=L.size)
@@ -278,18 +307,19 @@ def graded_integrals(phi, L, d0, s, group, n_groups, abs_tol, rel_tol,
             & (q > tol[g] / (2 * per_group[g]))
             & (per_piece[pid] < max_panels)
         )
-        if not mark.any():
+        if not np.count_nonzero(mark):
             break
-        m_lo, m_hi, m_pid, m_end = lo[mark], hi[mark], pid[mark], end[mark]
-        keep = ~mark
-        lo, hi, pid, end = lo[keep], hi[keep], pid[keep], end[keep]
-        val, q, err, mass = val[keep], q[keep], err[keep], mass[keep]
-        gk, e_hi, e_pid = ~m_end, m_hi[m_end], m_pid[m_end]
-        mid = 0.5 * (m_lo[gk] + m_hi[gk])
-        new = [
-            np.concatenate([m_lo[gk], mid, e_hi / 4, 0 * e_hi]),
-            np.concatenate([mid, m_hi[gk], e_hi, e_hi / 4]),
-            np.concatenate([m_pid[gk], m_pid[gk], e_pid, e_pid]),
-            np.concatenate([np.zeros(2 * mid.size + e_hi.size, bool), np.ones(e_hi.size, bool)]),
-        ]
+        halve, quarter, keep = mark & ~end, mark & end, ~mark
+        m_lo, m_hi, m_pid = lo[halve], hi[halve], pid[halve]
+        e_hi, e_pid = hi[quarter], pid[quarter]
+        mid = 0.5 * (m_lo + m_hi)
+        n_lo = np.concatenate([m_lo, mid, e_hi / 4, 0 * e_hi])
+        n_hi = np.concatenate([mid, m_hi, e_hi, e_hi / 4])
+        n_pid = np.concatenate([m_pid, m_pid, e_pid, e_pid])
+        n_end = np.arange(n_lo.size) >= n_lo.size - e_hi.size
+        v, qn, en, mn = _eval_panels(phi, n_lo, n_hi, n_pid, n_end, d0, s, chunk)
+        lo, hi = np.concatenate([lo[keep], n_lo]), np.concatenate([hi[keep], n_hi])
+        pid, end = np.concatenate([pid[keep], n_pid]), np.concatenate([end[keep], n_end])
+        val, q = np.concatenate([val[keep], v]), np.concatenate([q[keep], qn])
+        err, mass = np.concatenate([err[keep], en]), np.concatenate([mass[keep], mn])
     return total, np.bincount(g, err, n_groups)

@@ -4,6 +4,7 @@ pairing scalars, and the n=2 intertwining operator."""
 
 import cmath
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -65,7 +66,7 @@ def test_line_pieces_near_piece_is_exact():
         i = np.flatnonzero(near & (A[:, term] == 1.0) & (B[:, term] == 0.0))
         assert i.size == 1
         i = int(i[0])
-        phi = c[i] * _power_product(A[i] + B[i] * h, betas, etas)
+        phi = c[i] * _power_product(betas, etas)(A[i] + B[i] * h)
         return complex(phi * h ** (s[i] - 1))
 
     v = near_right_of(0)
@@ -448,6 +449,43 @@ def test_bump_shape_and_derivative():
         want = math.exp(1 - 1 / w)
         assert abs(v - want) <= 1e-15 * want
         assert abs(d - want * (-2 * u / (w * w)) / 2.0) <= 1e-14 * abs(want / (w * w))
+
+
+def _bump_by_where(center, width, x):
+    """The bump and its derivative with the support tested by |u| < 1 and
+    each branch chosen by np.where: the reference the one-pass form must
+    match bit for bit."""
+    u = (np.asarray(x, dtype=float) - center) / width
+    inside = np.abs(u) < 1
+    w = np.where(inside, 1 - u * u, 1.0)
+    f = np.where(inside, np.exp(1 - 1 / w), 0.0)
+    return f, np.where(inside, f * (-2 * u / (w * w)) / width, 0.0)
+
+
+@pytest.mark.parametrize("center, width", [(0.0, 1.0), (0.5, 2.0), (-0.25, 0.75)])
+def test_bump_matches_the_where_formula_bit_for_bit(center, width):
+    f = Bump(center, width)
+    a, b = f.support
+    # u = 0, |u| = 1 exactly, the doubles next to the edges, and |u| > 1
+    scalars = [center, a, b, 2 * b - center, a - 3 * width, 1e6, -1e6]
+    scalars += [np.nextafter(a, b), np.nextafter(b, a), np.nextafter(a, -np.inf),
+                np.nextafter(b, np.inf)]
+    rng = np.random.default_rng(7)
+    arrays = [np.array(scalars), rng.uniform(a - width, b + width, (195, 21)),
+              center + width * np.linspace(-1.0, 1.0, 401)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning may escape
+        for x in scalars:
+            want_f, want_d = _bump_by_where(center, width, x)
+            got_f, got_d = f(x), f.derivative(x)
+            assert type(got_f) is float and type(got_d) is float
+            assert np.float64(got_f).tobytes() == want_f.tobytes(), x
+            assert np.float64(got_d).tobytes() == want_d.tobytes(), x
+        for x in arrays:
+            want_f, want_d = _bump_by_where(center, width, x)
+            assert f(x).tobytes() == want_f.tobytes()
+            assert f.derivative(x).tobytes() == want_d.tobytes()
+    assert f(b) == 0.0 and f.derivative(a) == 0.0 and f(center) == 1.0
 
 
 def test_kronrod_rule_exactness():
