@@ -271,12 +271,12 @@ def cmd_gamma(args) -> dict:
 # verify
 
 
-def _case(tol: float, inputs: dict, closed, route, case_tol=None) -> dict:
+def _case(tol: float, inputs: dict, closed, route) -> dict:
     """Run one verify case: route() gives the second route's value, compared
     with closed, the reference evaluated before the route runs, and held to
-    case_tol when given, else to tol.  closed is None when the route returns
-    (closed, value) itself.  A route that cannot certify its tolerance
-    (ToleranceNotMetError) makes a failed case carrying its message."""
+    tol.  closed is None when the route returns (closed, value) itself.  A
+    route that cannot certify its tolerance (ToleranceNotMetError) makes a
+    failed case carrying its message."""
     rec = {"inputs": inputs, "closed": None if closed is None else _c(closed)}
     try:
         quad = route()
@@ -289,15 +289,15 @@ def _case(tol: float, inputs: dict, closed, route, case_tol=None) -> dict:
     abs_err = abs(quad - closed)
     rel_err = abs_err / abs(closed) if closed != 0 else abs_err
     rec.update(closed=_c(closed), quadrature=_c(quad), abs_err=abs_err, rel_err=rel_err)
-    rec["pass"] = rel_err <= (tol if case_tol is None else case_tol)
+    rec["pass"] = rel_err <= tol
     return rec
 
 
-# Each suite yields its cases as (inputs, closed, route[, case_tol]), the
-# arguments of _case after tol.
+# Each suite yields its cases as (inputs, closed, route), the arguments of
+# _case after tol; every route runs on the one cfg cmd_verify derives from tol.
 
 
-def _suite_betalike(tol: float, cfg):
+def _suite_betalike(cfg):
     from . import fe_verify
 
     grid = [
@@ -316,7 +316,7 @@ def _suite_betalike(tol: float, cfg):
         )
 
 
-def _suite_oscillatory(tol: float, cfg):
+def _suite_oscillatory(cfg):
     from . import fe_verify
 
     for eps in (0, 1):
@@ -329,7 +329,7 @@ def _suite_oscillatory(tol: float, cfg):
             )
 
 
-def _suite_fe(tol: float, cfg):
+def _suite_fe(cfg):
     from . import characters, eisenstein, fe_verify
     from .special import G_delta
 
@@ -371,45 +371,26 @@ def _suite_fe(tol: float, cfg):
     )
 
 
-def _suite_intertwine(tol: float, cfg):
-    import numpy as np
-
+def _suite_intertwine(cfg):
     from . import fe_verify
+    from .special import G_delta
 
-    f1 = fe_verify.Bump(0.0, 1.0)
-    f2 = fe_verify.Bump(0.3, 0.7)
-    # the spread of two ratios, each certified to rel_tol, is up to 2 rel_tol
-    probe_cfg = fe_verify.QuadratureConfig(abs_tol=cfg.abs_tol, rel_tol=tol / 4)
-    xs = [-0.2, 0.1]
-    ys = np.array([20.0, 40.0, 80.0])
+    def compose_at(f, nu, eps, x):
+        return complex(fe_verify.intertwine_compose_n2(f, nu, eps, [x], cfg)[0])
 
-    def ratio_consistency(nu):
-        # the reference is the first ratio (I_{-nu} I_nu f)(x) / f(x), and the
-        # value is it moved by the largest relative spread of the others
-        ratios = []
-        for f in (f1, f2):
-            vals = fe_verify.intertwine_compose_n2(f, nu, 0, xs, probe_cfg)
-            ratios.extend(complex(v) / f(x) for v, x in zip(vals, xs))
-        base = ratios[0]
-        spread = max(abs(r / base - 1) for r in ratios[1:])
-        return base, base * (1 + spread)
-
-    def decay_exponent(nu):
-        vals = np.abs(fe_verify.intertwine_apply_n2(f1, nu, 0, ys, probe_cfg))
-        return complex(np.polyfit(np.log(ys), np.log(vals), 1)[0])
-
-    for nu in (0.6, 0.8 + 0.5j):
-        yield {"nu": _c(nu), "probe": "ratio-consistency"}, None, partial(ratio_consistency, nu)
-        # decay-exponent fit of the forward operator: a fit at finite y, so
-        # it is held to its own abs_tol on the slope rather than to tol
-        expected = complex(nu).real - 1
-        slope_tol = 0.1
-        yield (
-            {"nu": _c(nu), "probe": "decay-exponent", "abs_tol": slope_tol},
-            complex(expected),
-            partial(decay_exponent, nu),
-            slope_tol / abs(expected),
-        )
+    # I_{-nu} I_nu is (-1)^eps G_eps(nu) G_eps(-nu) times the identity; one
+    # bump is not even and one point lies far from the origin
+    points = [((0.0, 1.0), -0.2), ((0.0, 1.0), 0.1), ((0.3, 0.7), 0.1), ((64.0, 8.0), 63.0)]
+    for eps in (0, 1):
+        for nu in (0.3, 0.6, 0.8 + 0.5j):
+            scalar = (-1) ** eps * G_delta(nu, eps) * G_delta(-nu, eps)
+            for (center, width), x in points:
+                f = fe_verify.Bump(center, width)
+                yield (
+                    {"nu": _c(nu), "epsilon": eps, "center": center, "width": width, "x": x},
+                    scalar * f(x),
+                    partial(compose_at, f, nu, eps, x),
+                )
 
 
 _SUITES = {
@@ -433,7 +414,7 @@ def cmd_verify(args) -> dict:
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     suites = []
     for name in names:
-        cases = [_case(tol, *case) for case in _SUITES[name](tol, cfg)]
+        cases = [_case(tol, *case) for case in _SUITES[name](cfg)]
         suites.append({"suite": name, "cases": cases, "pass": all(c["pass"] for c in cases)})
     result = {"suites": suites, "pass": all(suite["pass"] for suite in suites)}
     inputs = {"suite": args.suite, "tol": tol}

@@ -13,7 +13,8 @@ numbers, computed once on first use.
 
 Hurwitz zeta uses Euler-Maclaurin with a fixed rule: M = max(30,
 int(1.2 |Im s|) + 10) directly summed terms and J = 25 Bernoulli corrections
-B_2 .. B_50; a sum beyond the double range raises ValueOverflowError.
+B_2 .. B_50; a sum beyond the double range raises ValueOverflowError, and
+|Im s| > 1e6, where M would pass 1.2e6 terms, raises ToleranceNotMetError.
 Dirichlet L-functions are assembled from it as
 L(s, psi) = N^{-s} sum_a psi(a) zeta(s, a/N), which continues L to the whole
 plane (minus s=1 for principal psi).
@@ -26,10 +27,16 @@ from __future__ import annotations
 
 import cmath
 from functools import lru_cache
-from math import ceil, comb, copysign, factorial, floor, gcd, lgamma, log, nan, pi
+from math import ceil, comb, copysign, factorial, floor, gcd, inf, lgamma, log, nan, pi
 from typing import TYPE_CHECKING
 
-from .errors import NotPrincipalError, ParseError, PoleError, ValueOverflowError
+from .errors import (
+    NotPrincipalError,
+    ParseError,
+    PoleError,
+    ToleranceNotMetError,
+    ValueOverflowError,
+)
 
 if TYPE_CHECKING:
     from .characters import DirichletCharacter
@@ -37,6 +44,10 @@ if TYPE_CHECKING:
 _POLE_TOL = 1e-12
 _EM_MIN_TERMS = 30  # Euler-Maclaurin: at least this many terms summed directly
 _EM_DEPTH = 25  # Bernoulli corrections B_2 .. B_50
+# Euler-Maclaurin: |Im s| at most this, so M is at most 1_200_010 terms; at
+# |Im s| = 1e6 a call takes 0.28-0.48 s (2-core x86-64 VM, Python 3.11) and
+# agrees with mpmath to 5e-10 relative
+_EM_MAX_IMAG = 1e6
 _STIRLING_MIN = 10.0  # log Gamma and digamma: asymptotic series for Re z >= this
 _STIRLING_MIN_IMAG = 7.0  # ... or, for log Gamma, for |Im z| >= this
 _STIRLING_TERMS = 10  # B_2 .. B_20: exact to rounding in both regions
@@ -64,17 +75,16 @@ def _is_nonpositive_integer(z: complex) -> bool:
 
 def finite_exp(z: complex, what: str) -> complex:
     """exp(z) for a log-space value z of `what`: raises ValueOverflowError
-    when exp(z) exceeds the double range, and PoleError when z is already
-    not finite (a NaN, or an infinite log at a pole)."""
+    when exp(z) exceeds the double range, and when z has a non-finite part,
+    left by a log-space sum that overflowed (a real part of -inf gives 0)."""
+    if not (cmath.isfinite(z) or z.real == -inf):
+        raise ValueOverflowError(f"{what} overflows a double: its log {z} is not finite")
     try:
-        value = cmath.exp(z)
+        return cmath.exp(z)
     except OverflowError:
         raise ValueOverflowError(
             f"{what} overflows a double: log of its magnitude is {z.real:.6g}"
         ) from None
-    if not cmath.isfinite(value):
-        raise PoleError(f"{what} evaluated to a non-finite value")
-    return value
 
 
 def parse_complex(text: str, position: int | None = None) -> complex:
@@ -116,7 +126,10 @@ def log_gamma(s: complex) -> complex:
         return complex(nan, nan)
     x, y = z.real, z.imag
     if y == 0:
-        return complex(lgamma(x), -copysign(pi, y) * ceil(-x) if x < 0 else y)
+        try:
+            return complex(lgamma(x), -copysign(pi, y) * ceil(-x) if x < 0 else y)
+        except OverflowError:  # x beyond ~2.6e305
+            raise ValueOverflowError(f"log Gamma({x:.6g}) overflows a double") from None
     shift = 0j
     if abs(y) < _STIRLING_MIN_IMAG:
         if x < 0:
@@ -246,6 +259,11 @@ def hurwitz_zeta(s: complex, a: float) -> complex:
         raise ValueError("a must lie in (0, 1]")
     if abs(s - 1) < _POLE_TOL:
         raise PoleError("Hurwitz zeta pole at s=1")
+    if abs(s.imag) > _EM_MAX_IMAG:
+        raise ToleranceNotMetError(
+            f"Hurwitz zeta at |Im s| = {abs(s.imag):.6g}: its Euler-Maclaurin "
+            f"rule stops at |Im s| = {_EM_MAX_IMAG:.6g}, 1.2e6 terms"
+        )
 
     M = max(_EM_MIN_TERMS, int(1.2 * abs(s.imag)) + 10)
 

@@ -14,6 +14,7 @@ from mirabolic.errors import (
     MirabolicError,
     NotPrincipalError,
     PoleError,
+    ToleranceNotMetError,
     ValueOverflowError,
 )
 from mirabolic.gamma_factors import evaluate_gamma_product, l_factors, triv
@@ -74,6 +75,7 @@ def test_G_delta_zeros_and_poles():
 @pytest.mark.parametrize(
     "call",
     [
+        lambda: log_gamma(1e308),
         lambda: gamma_R(1500),
         lambda: gamma_C(400),
         lambda: G_delta(700.3, 0),
@@ -83,7 +85,7 @@ def test_G_delta_zeros_and_poles():
         lambda: dirichlet_L(-300, enumerate_characters(5)[1]),
     ],
     ids=[
-        "gamma_R", "gamma_C", "G_delta", "evaluate_gamma_product",
+        "log_gamma", "gamma_R", "gamma_C", "G_delta", "evaluate_gamma_product",
         "hurwitz_zeta", "riemann_zeta", "dirichlet_L",
     ],
 )
@@ -200,6 +202,12 @@ def test_hurwitz_zeta_domain():
         hurwitz_zeta(2.0, 1.5)
     with pytest.raises(PoleError):
         hurwitz_zeta(1.0, 0.5)
+    # beyond the rule's |Im s| <= 1e6: a typed error, not a math domain
+    # error in the first term (1e308) nor a sum of 1.2e300 terms (1e300);
+    # 1e308 comes first, so a rule without the limit fails here at once
+    for s in (0.5 + 1e308j, 0.5 + 1e300j):
+        with pytest.raises(ToleranceNotMetError):
+            hurwitz_zeta(s, 0.5)
 
 
 def test_riemann_zeta_values():
