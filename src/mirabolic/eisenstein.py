@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import cmath
 import itertools
-from functools import reduce
 from math import gcd, lcm
 from typing import TYPE_CHECKING
 
 from .characters import DirichletCharacter, divisors, euler_phi, finite_fourier
 from .errors import ConvergenceRegionError, PoleError, _Value
-from .special import dirichlet_L, residue_L_at_1, riemann_zeta
+from .special import dirichlet_L, residue_L_at_1, riemann_zeta, signed_power
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -71,22 +70,21 @@ class DeltaAtom(_Value):
         object.__setattr__(self, "weight", weight)
 
 
-def _gcd_vec(r) -> int:
-    return reduce(gcd, (abs(int(x)) for x in r), 0)
-
-
-def _cpow(d: int, z: complex) -> complex:
-    return cmath.exp(z * cmath.log(d))
+def _index(params: EisParams, r) -> tuple[tuple[int, ...], int]:
+    """The coefficient index r as n-1 integers, and the gcd of its entries
+    (0 for r = 0); ValueError for any other length."""
+    r = tuple(int(x) for x in r)
+    if len(r) != params.n - 1:
+        raise ValueError(f"r must have length n-1 = {params.n - 1}")
+    return r, gcd(*r)
 
 
 def coeff_big_cell(params: EisParams, r) -> complex:
     """Big-cell Fourier coefficient a_r; r has length n-1."""
-    r = tuple(int(x) for x in r)
-    _check_length(params, r)
+    r, g = _index(params, r)
     n, nu, psi = params.n, complex(params.nu), params.psi
     N = params.level
-    pref = _cpow(N, -nu - n / 2)
-    g = _gcd_vec(r)
+    pref = signed_power(N, -nu - n / 2)
     if g == 0:
         if not psi.is_principal:
             return 0j  # psihat(0) = 0
@@ -95,23 +93,21 @@ def coeff_big_cell(params: EisParams, r) -> complex:
         return pref * euler_phi(N) * riemann_zeta(nu - n / 2 + 1)
     total = 0j
     for d in divisors(g):
-        total += _cpow(d, -nu + n / 2 - 1) * finite_fourier(psi, -r[0] // d)
+        total += signed_power(d, -nu + n / 2 - 1) * finite_fourier(psi, -r[0] // d)
     return pref * total
 
 
 def coeff_wlong_cell(params: EisParams, r) -> complex:
     """Long-Weyl-cell Fourier coefficient c_r; r has length n-1."""
-    r = tuple(int(x) for x in r)
-    _check_length(params, r)
+    _, g = _index(params, r)
     n, nu, psi = params.n, complex(params.nu), params.psi
     N = params.level
     pref = float(N) ** (1 - n)
-    g = _gcd_vec(r)
     if g == 0:
         return pref * dirichlet_L(nu - n / 2 + 1, psi)
     total = 0j
     for d in divisors(g):
-        total += psi(d) * _cpow(d, -nu + n / 2 - 1)
+        total += psi(d) * signed_power(d, -nu + n / 2 - 1)
     return pref * total
 
 
@@ -122,9 +118,7 @@ def brute_force_c_r(params: EisParams, r, d_max: int) -> complex:
     terms with d > gcd(r) contribute zero, so equality with coeff_wlong_cell
     is exact up to rounding.
     """
-    r = tuple(int(x) for x in r)
-    _check_length(params, r)
-    g = _gcd_vec(r)
+    r, g = _index(params, r)
     if g == 0:
         raise ValueError("brute-force oracle requires r != 0")
     if d_max < g:
@@ -168,7 +162,7 @@ def bf_weighted_sum(n: int, nu: complex, r, d_max: int, psi_values) -> complex:
         w = complex(psi_values[d - 1])
         if w == 0:
             continue
-        total += w * _cpow(d, -nu - n / 2) * grid_exp_sum(d, r)
+        total += w * signed_power(d, -nu - n / 2) * grid_exp_sum(d, r)
     return total
 
 
@@ -197,7 +191,7 @@ def delta_atom_sum(
 
     if cell == "big":
         for v1 in range(N, H + 1, N):
-            scale = _cpow(v1, -nu - n / 2)
+            scale = signed_power(v1, -nu - n / 2)
             for middle in itertools.product(divisible, repeat=n - 2):
                 for vn in range(0, H + 1):
                     w = psi(vn)
@@ -214,7 +208,7 @@ def delta_atom_sum(
             w = psi(vn)
             if w == 0:
                 continue
-            weight = w * _cpow(vn, -nu - n / 2)
+            weight = w * signed_power(vn, -nu - n / 2)
             for head in itertools.product(divisible, repeat=n - 1):
                 loc = tuple(Fraction(v, vn) for v in head)
                 atoms.append(DeltaAtom(loc, weight))
@@ -302,13 +296,8 @@ def local_euler_factor(
     if N_p == 0:
         if isinstance(psi_local, Ramified):
             return 0j
-        return 1 / (1 - complex(psi_local) * _cpow(p, -n * s))
+        return 1 / (1 - complex(psi_local) * signed_power(p, -n * s))
     degree = psi_local.degree if isinstance(psi_local, Ramified) else 0
     if degree > N_p:
         return 0j
     return RamifiedConstant()
-
-
-def _check_length(params: EisParams, r) -> None:
-    if len(r) != params.n - 1:
-        raise ValueError(f"r must have length n-1 = {params.n - 1}")

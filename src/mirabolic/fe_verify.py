@@ -44,8 +44,8 @@ from .errors import (
     _Value,
 )
 from .eisenstein import EisParams, nu_from_s
-from .panels import _kernel_powers, graded_integrals
-from .special import G_delta, G_delta_is_zero
+from .panels import _ROUNDING, _kernel_powers, graded_integrals
+from .special import G_delta, G_delta_is_zero, signed_power
 
 _TWO_PI_I = 2j * math.pi
 _MAX_PANELS = 200  # panels per piece of the graded rule
@@ -88,16 +88,6 @@ DEFAULT_QUAD = QuadratureConfig()
 
 # ---------------------------------------------------------------------------
 # two-point line integrals
-
-
-def _sgn_pow(x: float, eta: int) -> float:
-    if eta % 2 == 0:
-        return 1.0
-    return -1.0 if x < 0 else 1.0
-
-
-def _abs_pow(x: float, expo: complex) -> complex:
-    return cmath.exp(complex(expo) * math.log(abs(x)))
 
 
 def _power_product(beta, eta):
@@ -189,15 +179,22 @@ def eisfe_scalar(params: EisParams) -> complex:
     if not is_primitive(psi):
         raise NotPrimitiveError("eisfe_scalar requires a primitive character")
     n, nu, eps = params.n, complex(params.nu), params.epsilon
-    npow = _abs_pow(params.level, 2 * nu - nu / n - 0.5)
+    npow = signed_power(params.level, 2 * nu - nu / n - 0.5)
     return (-1) ** eps * gauss_sum(psi) * npow * G_delta(nu - n / 2 + 1, eps)
 
 
-def _check_pair_normalization(lam, delta, eta, n, epsilon):
+def _pair_args(lam, delta, n):
+    """lambda as complex numbers and delta as ints; ValueError unless both
+    have length 2n."""
     lam = [complex(x) for x in lam]
     delta = [int(d) for d in delta]
     if len(lam) != 2 * n or len(delta) != 2 * n:
         raise ValueError("lambda and delta must have length 2n")
+    return lam, delta
+
+
+def _check_pair_normalization(lam, delta, eta, n, epsilon):
+    lam, delta = _pair_args(lam, delta, n)
     if abs(sum(lam)) > _PAIR_NORM_TOL:
         raise NormalizationError("sum of lambda must vanish")
     if (sum(delta) - epsilon - n * eta) % 2 != 0:
@@ -217,7 +214,7 @@ def pairing_fe_gamma_product(
     lam, delta = _check_pair_normalization(lam, delta, eta, n, epsilon)
     nu = complex(nu)
     sign = (-1) ** ((epsilon + sum(delta[n:])) % 2)
-    npow = _abs_pow(N, 2 * nu - nu / n - 0.5)
+    npow = signed_power(N, 2 * nu - nu / n - 0.5)
     prod = 1 + 0j
     for j in range(1, n + 1):
         dd = (delta[n + j - 1] + delta[n - j] + eta) % 2
@@ -236,7 +233,7 @@ def pairing_fe_gamma_product_s(
     (-1)^{eps+delta_{n+1}+...+delta_{2n}} under nu = n(s-1/2)."""
     lam, delta = _check_pair_normalization(lam, delta, eta, n, epsilon)
     s = complex(s)
-    npow = _abs_pow(N, 2 * n * s - s - n)
+    npow = signed_power(N, 2 * n * s - s - n)
     prod = 1 + 0j
     for j in range(1, n + 1):
         dd = (delta[n + j - 1] + delta[n - j] + eta) % 2
@@ -245,17 +242,22 @@ def pairing_fe_gamma_product_s(
     return npow * prod
 
 
+def _beta_like_args(beta, eta, t_n):
+    """beta as complex numbers, eta as ints and t_n as a float; ValueError
+    unless t_n is finite and nonzero."""
+    t = float(t_n)
+    if t == 0 or not math.isfinite(t):
+        raise ValueError("t_n must be finite and nonzero")
+    return [complex(b) for b in beta], [int(e) for e in eta], t
+
+
 def beta_like_closed(beta, eta, t_n: float) -> complex:
     """Closed form of the beta-like integral:
     G_{eta_0}(beta_0)...G_{eta_{n-1}}(beta_{n-1}) / G_{sum eta}(sum beta)
     times |t_n|^{sum beta - 1} (sgn t_n)^{sum eta}."""
-    beta = [complex(b) for b in beta]
-    eta = [int(e) for e in eta]
+    beta, eta, t = _beta_like_args(beta, eta, t_n)
     if len(beta) != len(eta):
         raise ValueError("beta and eta must have equal length")
-    t = float(t_n)
-    if t == 0 or not math.isfinite(t):
-        raise ValueError("t_n must be finite and nonzero")
     total_b = sum(beta)
     total_e = sum(eta) % 2
     if G_delta_is_zero(total_b, total_e):
@@ -264,7 +266,7 @@ def beta_like_closed(beta, eta, t_n: float) -> complex:
     num = 1 + 0j
     for b, e in zip(beta, eta):
         num *= G_delta(b, e)
-    return num / denom * _abs_pow(t, total_b - 1) * _sgn_pow(t, total_e)
+    return num / denom * signed_power(t, total_b - 1, total_e)
 
 
 def _in_betalike_region(beta) -> bool:
@@ -281,13 +283,9 @@ def beta_like_quadrature(beta, eta, t_n: float, cfg: QuadratureConfig = DEFAULT_
     Gamma closed form.  Raises ValueError unless n >= 2, len(eta) = n and
     t_n is finite and nonzero, and ConvergenceRegionError outside the
     absolute-convergence region."""
-    beta = [complex(b) for b in beta]
-    eta = [int(e) for e in eta]
+    beta, eta, t = _beta_like_args(beta, eta, t_n)
     if len(beta) < 2 or len(eta) != len(beta):
         raise ValueError("need len(beta) = len(eta) >= 2")
-    t = float(t_n)
-    if t == 0 or not math.isfinite(t):
-        raise ValueError("t_n must be finite and nonzero")
     if not _in_betalike_region(beta):
         raise ConvergenceRegionError(
             "need Re beta_j > 0 and Re(sum beta) < 1 for absolute convergence"
@@ -372,8 +370,7 @@ def oscillatory_closed(nu: complex, n: int, epsilon: int, d: int, k: int) -> com
     m = d * k
     return (
         (-1) ** epsilon
-        * _abs_pow(m, n / 2 - nu - 1)
-        * _sgn_pow(float(m), epsilon)
+        * signed_power(m, n / 2 - nu - 1, epsilon)
         * G_delta(nu - n / 2 + 1, epsilon)
     )
 
@@ -443,10 +440,7 @@ def oscillatory_integral(
 def _h_parameters(lam, delta, nu, n, eta, epsilon):
     if n < 2:
         raise ValueError("the H integral needs n >= 2")
-    lam = [complex(x) for x in lam]
-    delta = [int(x) for x in delta]
-    if len(lam) != 2 * n or len(delta) != 2 * n:
-        raise ValueError("lambda and delta must have length 2n")
+    lam, delta = _pair_args(lam, delta, n)
     nu = complex(nu)
     beta = [nu - n / 2 + 1]
     etas = [epsilon % 2]
@@ -678,10 +672,11 @@ def intertwine_compose_n2(
     g and g' are computed for a whole batch of outer nodes at once, with
     inner tolerances a hundredth of cfg's, and their error estimates are
     carried through the outer weights.  Each value is certified against the
-    summed error estimate of its pieces; when that misses the tolerance, the
-    point is computed once more with inner tolerances tightened by the
-    factor missed.  The value is (-1)^eps G_eps(nu) G_eps(-nu) f(x), the
-    composition being that multiple of the identity."""
+    summed error estimate of its pieces; when that misses a tolerance above
+    the rounding floor _ROUNDING |value|, the point is computed once more
+    with inner tolerances tightened by the factor missed.  The value is
+    (-1)^eps G_eps(nu) G_eps(-nu) f(x), the composition being that
+    multiple of the identity."""
     nu = complex(nu)
     if not 0 < nu.real < 1:
         raise ConvergenceRegionError("composition probe needs 0 < Re nu < 1")
@@ -740,8 +735,9 @@ def intertwine_compose_n2(
     for x in _finite_grid(x_grid):
         v, e = point(x, 1e-2)
         tol = max(cfg.abs_tol, cfg.rel_tol * abs(v))
-        if not e <= tol:
-            # tighten the inner tolerances by the factor missed
+        if not e <= tol and tol > _ROUNDING * abs(v):
+            # tighten the inner tolerances by the factor missed; below the
+            # rounding floor no inner tolerance can help
             v, e = point(x, 1e-2 * min(1e-2, tol / (4 * e)))
         out.append(v)
         est.append(e)

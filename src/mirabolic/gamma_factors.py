@@ -18,8 +18,7 @@ import re as _re
 from .errors import EmptyRepresentationError, ParseError, PoleError, _Value
 from .principal_series import PSParams
 from .special import (
-    _is_nonpositive_even_integer,
-    _is_nonpositive_integer,
+    _is_nonpositive_multiple,
     finite_exp,
     log_gamma_C,
     log_gamma_R,
@@ -262,11 +261,11 @@ def evaluate_gamma_product(g: GammaProduct, s: complex) -> complex:
     for kind, sh in g.factors:
         z = s + complex(sh)
         if kind == "R":
-            if _is_nonpositive_even_integer(z):
+            if _is_nonpositive_multiple(z, 2):
                 raise PoleError(f"Gamma_R pole in factor R({complex(sh)}) at s={s}")
             total += log_gamma_R(z)
         else:
-            if _is_nonpositive_integer(z):
+            if _is_nonpositive_multiple(z, 1):
                 raise PoleError(f"Gamma_C pole in factor C({complex(sh)}) at s={s}")
             total += log_gamma_C(z)
     return finite_exp(total, "Gamma product")

@@ -9,10 +9,10 @@ Coefficient maps are sparse dictionaries keyed by (n-1)-tuples of Fractions
 
 from __future__ import annotations
 
-import cmath
 from typing import TYPE_CHECKING
 
 from .errors import ZeroComponentError, ZeroEntryError, _Value
+from .special import signed_power
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -60,8 +60,7 @@ def chi_eval(ps: PSParams, b) -> complex:
         bj = float(bj)
         if bj == 0:
             raise ZeroEntryError("chi_eval requires all b_j nonzero")
-        sign = -1.0 if bj < 0 else 1.0
-        out *= sign**dj * cmath.exp(complex(lj) * cmath.log(abs(bj)))
+        out *= signed_power(bj, lj, dj)
     return out
 
 
@@ -86,8 +85,7 @@ def renormalize_coeffs(c: dict, ps: PSParams) -> dict:
             rjf = float(rj)
             if rjf == 0:
                 raise ZeroComponentError(f"zero component in index {r}")
-            sign = -1.0 if rjf < 0 else 1.0
-            factor *= sign**dj * cmath.exp(lj * cmath.log(abs(rjf)))
+            factor *= signed_power(rjf, lj, dj)
         out[r] = factor * complex(cr)
     return out
 

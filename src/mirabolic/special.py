@@ -6,7 +6,10 @@ space, by log_gamma on the principal branch (Stirling's series, reached by
 a short recurrence or, left of the imaginary axis, by reflection), and
 exponentiated at the boundary, so ratios like G_delta stay finite where the
 naive quotient would overflow; a value whose exponential is still too large
-for a double raises ValueOverflowError.  Digamma, which L(1, psi) needs,
+for a double raises ValueOverflowError.  The same holds for signed_power,
+|x|^a sgn(x)^d for real x != 0, the one power behind the Eisenstein
+coefficients, the functional-equation scalars, the principal-series
+characters and the N^-s of L(s, psi).  Digamma, which L(1, psi) needs,
 uses the same recurrence and series.  The series coefficients of log Gamma,
 digamma and Euler-Maclaurin all come from one table of even Bernoulli
 numbers, computed once on first use.
@@ -15,6 +18,9 @@ Hurwitz zeta uses Euler-Maclaurin with a fixed rule: M = max(30,
 int(1.2 |Im s|) + 10) directly summed terms and J = 25 Bernoulli corrections
 B_2 .. B_50; a sum beyond the double range raises ValueOverflowError, and
 |Im s| > 1e6, where M would pass 1.2e6 terms, raises ToleranceNotMetError.
+Against mpmath the relative error is 1e-13 to 6e-13 at s = 2+5000i and
+2e-11 to 5e-10 at |Im s| = 1e6: each term's phase Im s log(a+k) is formed
+in double, so the error grows with the height.
 Dirichlet L-functions are assembled from it as
 L(s, psi) = N^{-s} sum_a psi(a) zeta(s, a/N), which continues L to the whole
 plane (minus s=1 for principal psi).
@@ -55,21 +61,14 @@ _HALF_LOG_2PI = 0.5 * log(2 * pi)
 _LOG_PI = log(pi)
 
 
-def _is_nonpositive_even_integer(z: complex) -> bool:
+def _is_nonpositive_multiple(z: complex, step: int) -> bool:
+    """True when z is within _POLE_TOL of 0, -step, -2 step, ...: the
+    poles of Gamma (step 1) and of Gamma_R (step 2)."""
     return (
         abs(z.imag) < _POLE_TOL
         and z.real < _POLE_TOL
         and cmath.isfinite(z)  # round() raises on an infinite real part
-        and abs(z.real / 2 - round(z.real / 2)) < _POLE_TOL
-    )
-
-
-def _is_nonpositive_integer(z: complex) -> bool:
-    return (
-        abs(z.imag) < _POLE_TOL
-        and z.real < _POLE_TOL
-        and cmath.isfinite(z)  # round() raises on an infinite real part
-        and abs(z.real - round(z.real)) < _POLE_TOL
+        and abs(z.real / step - round(z.real / step)) < _POLE_TOL
     )
 
 
@@ -85,6 +84,13 @@ def finite_exp(z: complex, what: str) -> complex:
         raise ValueOverflowError(
             f"{what} overflows a double: log of its magnitude is {z.real:.6g}"
         ) from None
+
+
+def signed_power(x: float, expo: complex, parity: int = 0) -> complex:
+    """|x|^expo sgn(x)^parity for real x != 0, as one finite_exp of
+    expo log|x|: ValueOverflowError when it exceeds the double range."""
+    v = finite_exp(complex(expo) * log(abs(x)), "|x|^a sgn(x)^d")
+    return -v if parity % 2 and x < 0 else v
 
 
 def parse_complex(text: str, position: int | None = None) -> complex:
@@ -120,7 +126,7 @@ def log_gamma(s: complex) -> complex:
       Stirling's region; with Re z >= 0 the principal log of z (z+1) is
       the sum of those of z and z+1, which keeps the branch."""
     z = complex(s)
-    if _is_nonpositive_integer(z):
+    if _is_nonpositive_multiple(z, 1):
         raise PoleError(f"Gamma pole at s={z}")
     if not cmath.isfinite(z):
         return complex(nan, nan)
@@ -188,12 +194,12 @@ def gamma_C(s: complex) -> complex:
 
 def G_delta_is_pole(s: complex, delta: int) -> bool:
     """True at s in {-delta, -delta-2, -delta-4, ...}."""
-    return _is_nonpositive_even_integer(complex(s) + delta)
+    return _is_nonpositive_multiple(complex(s) + delta, 2)
 
 
 def G_delta_is_zero(s: complex, delta: int) -> bool:
     """True at s in {1+delta, 3+delta, ...} (zeros of the Gamma_R ratio)."""
-    return _is_nonpositive_even_integer(1 - complex(s) + delta)
+    return _is_nonpositive_multiple(1 - complex(s) + delta, 2)
 
 
 def G_delta(s: complex, delta: int) -> complex:
@@ -312,7 +318,7 @@ def dirichlet_L(s: complex, psi: DirichletCharacter) -> complex:
     for a in psi.units:
         aa = a if a != 0 else N  # modulus 1 stores residue 0
         total += psi(a) * hurwitz_zeta(s, aa / N)
-    return finite_exp(-s * cmath.log(N), "N^-s") * total
+    return signed_power(N, -s) * total
 
 
 def _dirichlet_L_at_1(psi: DirichletCharacter) -> complex:

@@ -114,8 +114,12 @@ def test_gamma_ext2_with_eval(capsys):
         # c_0 = L(-300, 1) = zeta(-300), of size ~ 10^375
         ("eis", "--n", "2", "--nu", "-300", "--modulus", "1", "--r", "0"),
         ("eis", "--n", "2", "--nu", "-300", "--modulus", "1", "--r", "0", "--cell", "big"),
+        # c_4 and a_4 at nu = -2000: 2^2000 in the divisor sum, 7^1999 in the
+        # big-cell prefactor
+        ("eis", "--n", "2", "--nu", "-2000", "--modulus", "7", "--r", "4"),
+        ("eis", "--n", "2", "--nu", "-2000", "--modulus", "7", "--r", "4", "--cell", "big"),
     ],
-    ids=["gamma", "gamma-lgamma", "gamma-twist", "eis-wlong", "eis-big"],
+    ids=["gamma", "gamma-lgamma", "gamma-twist", "eis-wlong", "eis-big", "eis-wlong-r", "eis-big-r"],
 )
 def test_gamma_overflow_is_domain_error(capsys, argv):
     code, out, err = run(capsys, *argv)

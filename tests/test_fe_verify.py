@@ -333,6 +333,25 @@ def test_certification_failure_surfaces():
         intertwine_apply_n2(f, 0.6, 0, [0.3], cfg)
 
 
+def test_intertwine_compose_does_not_retry_below_the_rounding_floor(monkeypatch):
+    # at rel_tol 1e-300 the estimate a point misses is already at the
+    # rounding floor, which no inner tolerance can lower: one outer
+    # integral per point, not a second one at tightened inner tolerances
+    outer = []
+    rule = fe_verify.graded_integrals
+
+    def counting(*args, **kwargs):
+        if "base" in kwargs:  # the outer integral carries the window terms
+            outer.append(args[0])
+        return rule(*args, **kwargs)
+
+    monkeypatch.setattr(fe_verify, "graded_integrals", counting)
+    cfg = QuadratureConfig(abs_tol=1e-301, rel_tol=1e-300)
+    with pytest.raises(ToleranceNotMetError):
+        intertwine_compose_n2(Bump(0.0, 1.0), 0.6, 0, [-0.2, 0.1], cfg)
+    assert len(outer) == 2
+
+
 def test_certify_rejects_a_value_farther_than_tol_from_its_closed_form():
     # the estimate meets tol, the value misses it by up to 10 tol: that is a
     # failure, reported as the difference, however small the estimate

@@ -10,6 +10,13 @@ import mpmath as mp
 import pytest
 
 from mirabolic.characters import enumerate_characters, factorize
+from mirabolic.eisenstein import (
+    EisParams,
+    brute_force_c_r,
+    coeff_big_cell,
+    coeff_wlong_cell,
+    local_euler_factor,
+)
 from mirabolic.errors import (
     MirabolicError,
     NotPrincipalError,
@@ -17,7 +24,13 @@ from mirabolic.errors import (
     ToleranceNotMetError,
     ValueOverflowError,
 )
+from mirabolic.fe_verify import (
+    eisfe_scalar,
+    pairing_fe_gamma_product,
+    pairing_fe_gamma_product_s,
+)
 from mirabolic.gamma_factors import evaluate_gamma_product, l_factors, triv
+from mirabolic.principal_series import PSParams, chi_eval, renormalize_coeffs
 from mirabolic.special import (
     G_delta,
     G_delta_is_pole,
@@ -32,6 +45,7 @@ from mirabolic.special import (
     log_gamma,
     residue_L_at_1,
     riemann_zeta,
+    signed_power,
 )
 
 
@@ -83,10 +97,24 @@ def test_G_delta_zeros_and_poles():
         lambda: hurwitz_zeta(-300, 0.5),
         lambda: riemann_zeta(-300),
         lambda: dirichlet_L(-300, enumerate_characters(5)[1]),
+        # 2^2000 in the divisor sums over d | 4, 7^1999 in the big-cell prefactor
+        lambda: coeff_wlong_cell(_eis(-2000, 7), (4,)),
+        lambda: coeff_big_cell(_eis(-2000, 7), (4,)),
+        lambda: brute_force_c_r(_eis(-2000, 7), (4,), 4),
+        lambda: local_euler_factor(2, -2000, 2, 1, 0),
+        lambda: chi_eval(PSParams(1, (800,), (0,)), (1e300,)),
+        lambda: renormalize_coeffs({(1e300,): 1.0}, PSParams(2, (800, 0), (0, 0))),
+        # 5^1349.5, and (10^6)^1349.5 in both forms of the pairing scalar
+        lambda: eisfe_scalar(_eis(900, 5, index=1)),
+        lambda: pairing_fe_gamma_product([0] * 4, [0] * 4, 0, 900, 2, 10**6, 0),
+        lambda: pairing_fe_gamma_product_s([0] * 4, [0] * 4, 0, 450.5, 2, 10**6, 0),
     ],
     ids=[
         "log_gamma", "gamma_R", "gamma_C", "G_delta", "evaluate_gamma_product",
-        "hurwitz_zeta", "riemann_zeta", "dirichlet_L",
+        "hurwitz_zeta", "riemann_zeta", "dirichlet_L", "coeff_wlong_cell",
+        "coeff_big_cell", "brute_force_c_r", "local_euler_factor", "chi_eval",
+        "renormalize_coeffs", "eisfe_scalar", "pairing_fe_gamma_product",
+        "pairing_fe_gamma_product_s",
     ],
 )
 def test_overflow_is_typed(call):
@@ -96,6 +124,21 @@ def test_overflow_is_typed(call):
         call()
     assert isinstance(ei.value, MirabolicError)
     assert isinstance(ei.value, OverflowError)
+
+
+def _eis(nu, N, index=0):
+    psi = enumerate_characters(N)[index]
+    return EisParams(2, nu, psi, psi.parity)
+
+
+@pytest.mark.parametrize("parity", [0, 1, 2, 3])
+@pytest.mark.parametrize("x", [-7, -0.3, 0.3, 1.5, 12])
+@pytest.mark.parametrize("expo", [2.5, -1.25, 0.3 + 0.8j, -2 - 1.5j])
+def test_signed_power(x, expo, parity):
+    # |x|^expo sgn(x)^parity; only the parity's last bit counts
+    sgn = -1 if x < 0 and parity % 2 else 1
+    want = abs(x) ** expo * sgn
+    assert cmath.isclose(signed_power(x, expo, parity), want, rel_tol=1e-14)
 
 
 def _G_delta_ref(s, delta):
