@@ -48,6 +48,9 @@ def factorize(n: int) -> list[tuple[int, int]]:
 
 
 def euler_phi(n: int) -> int:
+    """phi(n) = |(Z/n)*| for n >= 1."""
+    if n < 1:
+        raise ValueError("modulus must be positive")
     phi = 1
     for p, e in factorize(n):
         phi *= (p - 1) * p ** (e - 1)

@@ -9,21 +9,23 @@ naive quotient would overflow; a value whose exponential is still too large
 for a double raises ValueOverflowError.  The same holds for signed_power,
 |x|^a sgn(x)^d for real x != 0, the one power behind the Eisenstein
 coefficients, the functional-equation scalars, the principal-series
-characters and the N^-s of L(s, psi).  Digamma, which L(1, psi) needs,
-uses the same recurrence and series.  The series coefficients of log Gamma,
-digamma and Euler-Maclaurin all come from one table of even Bernoulli
+characters and the N^-s of L(s, psi).  The series coefficients of
+log Gamma and of Euler-Maclaurin come from one table of even Bernoulli
 numbers, computed once on first use.
 
-Hurwitz zeta uses Euler-Maclaurin with a fixed rule: M = max(30,
-int(1.2 |Im s|) + 10) directly summed terms and J = 25 Bernoulli corrections
-B_2 .. B_50; a sum beyond the double range raises ValueOverflowError, and
-|Im s| > 1e6, where M would pass 1.2e6 terms, raises ToleranceNotMetError.
+Hurwitz zeta, Riemann zeta and L(s, psi) are one Euler-Maclaurin sum with a
+fixed rule: M = max(30, int(1.2 |Im s|) + 10) directly summed terms and
+J = 25 Bernoulli corrections B_2 .. B_50; a sum beyond the double range
+raises ValueOverflowError, and |Im s| > 1e6, where M would pass 1.2e6
+terms, raises ToleranceNotMetError.
 Against mpmath the relative error is 1e-13 to 6e-13 at s = 2+5000i and
 2e-11 to 5e-10 at |Im s| = 1e6: each term's phase Im s log(a+k) is formed
 in double, so the error grows with the height.
 Dirichlet L-functions are assembled from it as
 L(s, psi) = N^{-s} sum_a psi(a) zeta(s, a/N), which continues L to the whole
-plane (minus s=1 for principal psi).
+plane (minus s=1 for principal psi).  For nonprincipal psi, L(1, psi) is the
+finite part of the same sum: the pole term x^{1-s}/(s-1) is taken at s = 1
+as -log x, and the poles 1/(s-1) cancel because sum_a psi(a) = 0.
 
 parse_complex reads a complex argument as the CLI flags and the twists of
 the rep grammar write it, `re` or `re,im`.
@@ -54,8 +56,8 @@ _EM_DEPTH = 25  # Bernoulli corrections B_2 .. B_50
 # |Im s| = 1e6 a call takes 0.28-0.48 s (2-core x86-64 VM, Python 3.11) and
 # agrees with mpmath to 5e-10 relative
 _EM_MAX_IMAG = 1e6
-_STIRLING_MIN = 10.0  # log Gamma and digamma: asymptotic series for Re z >= this
-_STIRLING_MIN_IMAG = 7.0  # ... or, for log Gamma, for |Im z| >= this
+_STIRLING_MIN = 10.0  # log Gamma: asymptotic series for Re z >= this
+_STIRLING_MIN_IMAG = 7.0  # ... or for |Im z| >= this
 _STIRLING_TERMS = 10  # B_2 .. B_20: exact to rounding in both regions
 _HALF_LOG_2PI = 0.5 * log(2 * pi)
 _LOG_PI = log(pi)
@@ -154,22 +156,6 @@ def log_gamma(s: complex) -> complex:
     return (z - 0.5) * cmath.log(z) - z + _HALF_LOG_2PI + series * w - shift
 
 
-def _digamma(x: float) -> float:
-    """psi(x) = Gamma'(x)/Gamma(x) for real x > 0: the recurrence
-    psi(x) = psi(x+1) - 1/x up to x >= _STIRLING_MIN, then the asymptotic
-    series log x - 1/(2x) - sum_k B_2k / (2k x^2k)."""
-    shift = 0.0
-    while x < _STIRLING_MIN:
-        shift += 1 / x
-        x += 1
-    w2 = 1 / (x * x)
-    coeffs = _stirling_coefficients()
-    series = 0.0
-    for k in range(_STIRLING_TERMS, 0, -1):
-        series = series * w2 + (2 * k - 1) * coeffs[k - 1]
-    return log(x) - 0.5 / x - series * w2 - shift
-
-
 def log_gamma_R(s: complex) -> complex:
     """log of Gamma_R(s) = pi^{-s/2} Gamma(s/2)."""
     s = complex(s)
@@ -255,31 +241,34 @@ def _stirling_coefficients() -> tuple[float, ...]:
     return tuple(bern[k] / (2 * k * (2 * k - 1)) for k in range(1, _STIRLING_TERMS + 1))
 
 
-def hurwitz_zeta(s: complex, a: float) -> complex:
-    """zeta(s, a) = sum_{k>=0} (k+a)^{-s}, continued by Euler-Maclaurin.
-
-    a must lie in (0, 1]; s != 1.
-    """
+def _em_argument(s: complex, pole: str | None) -> complex:
+    """s checked for the Euler-Maclaurin rule: within _POLE_TOL of 1 it is
+    PoleError(pole), or exactly 1 when pole is None (a sum whose poles
+    cancel); beyond |Im s| = _EM_MAX_IMAG, ToleranceNotMetError."""
     s = complex(s)
-    if not 0 < a <= 1:
-        raise ValueError("a must lie in (0, 1]")
     if abs(s - 1) < _POLE_TOL:
-        raise PoleError("Hurwitz zeta pole at s=1")
+        if pole is not None:
+            raise PoleError(pole)
+        return 1 + 0j
     if abs(s.imag) > _EM_MAX_IMAG:
         raise ToleranceNotMetError(
             f"Hurwitz zeta at |Im s| = {abs(s.imag):.6g}: its Euler-Maclaurin "
             f"rule stops at |Im s| = {_EM_MAX_IMAG:.6g}, 1.2e6 terms"
         )
+    return s
 
+
+def _euler_maclaurin(s: complex, a: float) -> complex:
+    """zeta(s, a) by Euler-Maclaurin, for s from _em_argument; at s = 1 the
+    pole term x^{1-s}/(s-1) is replaced by its finite part -log x."""
     M = max(_EM_MIN_TERMS, int(1.2 * abs(s.imag)) + 10)
-
     try:
         total = 0j
         for k in range(M):
             total += cmath.exp(-s * cmath.log(a + k))
         x = a + M
         logx = cmath.log(x)
-        total += cmath.exp((1 - s) * logx) / (s - 1)
+        total += -logx if s == 1 else cmath.exp((1 - s) * logx) / (s - 1)
         total += cmath.exp(-s * logx) / 2
 
         # Bernoulli tail: sum_j B_{2j}/(2j)! * (s)_{2j-1} * x^{-s-2j+1}
@@ -296,40 +285,35 @@ def hurwitz_zeta(s: complex, a: float) -> complex:
     return total
 
 
+def hurwitz_zeta(s: complex, a: float) -> complex:
+    """zeta(s, a) = sum_{k>=0} (k+a)^{-s}, continued by Euler-Maclaurin.
+
+    a must lie in (0, 1]; s != 1.
+    """
+    if not 0 < a <= 1:
+        raise ValueError("a must lie in (0, 1]")
+    return _euler_maclaurin(_em_argument(s, "Hurwitz zeta pole at s=1"), a)
+
+
 def riemann_zeta(s: complex) -> complex:
-    return hurwitz_zeta(s, 1.0)
+    return _euler_maclaurin(_em_argument(s, "Hurwitz zeta pole at s=1"), 1.0)
 
 
 def dirichlet_L(s: complex, psi: DirichletCharacter) -> complex:
     """L(s, psi) = N^{-s} sum_{a=1}^{N} psi(a) zeta(s, a/N).
 
     Agrees with the Dirichlet series for Re s > 1; the only pole is at s=1
-    for principal psi.
+    for principal psi.  For nonprincipal psi, L(1, psi) is the finite part
+    of the same sum: each zeta(s, a/N) is taken at s = 1 with its pole
+    1/(s-1) dropped, which cancels since sum_a psi(a) = 0.
     """
-    s = complex(s)
+    s = _em_argument(s, "L(s, principal) pole at s=1" if psi.is_principal else None)
     N = psi.modulus
-    if abs(s - 1) < _POLE_TOL:
-        if psi.is_principal:
-            raise PoleError("L(s, principal) pole at s=1")
-        # nontrivial psi: the zeta poles cancel; evaluate just off-axis is
-        # unnecessary because the combination below is formed termwise.
-        return _dirichlet_L_at_1(psi)
     total = 0j
     for a in psi.units:
         aa = a if a != 0 else N  # modulus 1 stores residue 0
-        total += psi(a) * hurwitz_zeta(s, aa / N)
+        total += psi(a) * _euler_maclaurin(s, aa / N)
     return signed_power(N, -s) * total
-
-
-def _dirichlet_L_at_1(psi: DirichletCharacter) -> complex:
-    # The simple poles of zeta(s, a/N) cancel for nonprincipal psi; take the
-    # finite parts: zeta(s,a) = 1/(s-1) - psi0(a) + O(s-1) with digamma.
-    # Use the digamma formula L(1,psi) = -(1/N) sum psi(a) digamma(a/N).
-    N = psi.modulus
-    total = 0j
-    for a in psi.units:
-        total += psi(a) * _digamma(a / N)
-    return -total / N
 
 
 def residue_L_at_1(psi: DirichletCharacter) -> float:

@@ -40,6 +40,14 @@ def test_enumeration_count_and_distinctness(N):
     assert chars[0].is_principal
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_euler_phi_rejects_nonpositive(n):
+    # same message as enumerate_characters; phi(n) is defined for n >= 1 only
+    for f in (euler_phi, enumerate_characters):
+        with pytest.raises(ValueError, match="modulus must be positive"):
+            f(n)
+
+
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 8, 9, 12, 15, 16, 24, 35])
 def test_complete_multiplicativity(N):
     for psi in enumerate_characters(N):

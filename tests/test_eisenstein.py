@@ -115,6 +115,10 @@ def test_r_zero_continuations():
 
     want = 4.0 ** (-1) * dirichlet_L(2.0, odd)
     assert abs(coeff_wlong_cell(p, (0,)) - want) < 1e-12
+    # at nu = n/2 it is N^{1-n} L(1, chi_4) = pi/(4 * 16) for n = 3: Leibniz's
+    # series, a closed form that no route of the package computes
+    p = EisParams(n=3, nu=1.5, psi=odd, epsilon=1)
+    assert abs(coeff_wlong_cell(p, (0, 0)) - cmath.pi / 64) < 1e-13
 
 
 def test_pole_at_half_n():

@@ -245,6 +245,8 @@ def test_hurwitz_zeta_domain():
         hurwitz_zeta(2.0, 1.5)
     with pytest.raises(PoleError):
         hurwitz_zeta(1.0, 0.5)
+    with pytest.raises(PoleError):
+        hurwitz_zeta(1 + 1e-13, 0.5)
     # beyond the rule's |Im s| <= 1e6: a typed error, not a math domain
     # error in the first term (1e308) nor a sum of 1.2e300 terms (1e300);
     # 1e308 comes first, so a rule without the limit fails here at once
@@ -307,9 +309,10 @@ def test_dirichlet_L_against_mpmath_nonprincipal():
 
 @pytest.mark.parametrize("N", [5, 12, 210])
 def test_dirichlet_L_at_1_against_mpmath(N):
-    # L(1, psi) by digamma against an independent route: the Hurwitz sum in
-    # mpmath just off the pole, s = 1 + 1e-30, with exact character values,
-    # so that the 1/(s-1) parts cancel to 1e-20
+    # L(1, psi), the finite part of the Euler-Maclaurin sum at s = 1, against
+    # an independent route: the Hurwitz sum in mpmath just off the pole,
+    # s = 1 + 1e-30, with exact character values, so that the 1/(s-1) parts
+    # cancel to 1e-20.  Within _POLE_TOL of 1 the sum is taken at s = 1.
     mp.mp.dps = 50
     nonprincipal = [p for p in enumerate_characters(N) if not p.is_principal]
     odd = [p for p in nonprincipal if p.parity == 1][:2]
@@ -324,3 +327,5 @@ def test_dirichlet_L_at_1_against_mpmath(N):
         want = complex(want * mp.power(N, -s))
         got = dirichlet_L(1.0, psi)
         assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (N, psi.exponents, got, want)
+        assert dirichlet_L(1 + 1e-13, psi) == got
+        assert dirichlet_L(1 + 1e-13j, psi) == got
